@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .tensor_core import finite_diff_hvp
 from .trainer import (
     ProbeConfig,
     TrainConfig,
-    _evaluate_split,
+    evaluate_split,
     probe_harmonization,
     save_metrics,
     train,
@@ -82,7 +82,28 @@ def _get(section: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
     return default
 
 
+def _read(
+    section: dict, key: str, path: str, convert: Callable[[Any], Any], default: Any = _REQUIRED
+) -> Any:
+    """``_get`` through ``convert``; a value of the wrong type names its field."""
+    value = _get(section, key, path, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}: cannot read {value!r}: {exc}") from None
+
+
+def _ints(values: Any) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values: Any) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
@@ -119,7 +140,7 @@ class ExperimentConfig:
 
 def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
     _reject_unknown(raw, ("synthetic", "csv", "split"), "data")
-    proportions = tuple(float(p) for p in _get(raw, "split", "data", [4, 1, 1]))
+    proportions = _read(raw, "split", "data", _floats, [4, 1, 1])
     if len(proportions) != 3 or any(p <= 0 for p in proportions):
         raise ConfigError("data.split: expected three positive proportions")
     if ("synthetic" in raw) == ("csv" in raw):
@@ -131,26 +152,27 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
             ("n_samples", "n_features", "task_angle_deg", "positive_rates", "label_noise", "seed"),
             "data.synthetic",
         )
+        fields = dict(
+            n_samples=_read(section, "n_samples", "data.synthetic", int),
+            n_features=_read(section, "n_features", "data.synthetic", int),
+            task_angle_deg=_read(section, "task_angle_deg", "data.synthetic", float),
+            positive_rates=_read(section, "positive_rates", "data.synthetic", _floats),
+            label_noise=_read(section, "label_noise", "data.synthetic", float, 0.0),
+            seed=_read(section, "seed", "data.synthetic", int, 0),
+        )
         try:
-            cfg = SyntheticTaskConfig(
-                n_samples=int(_get(section, "n_samples", "data.synthetic")),
-                n_features=int(_get(section, "n_features", "data.synthetic")),
-                task_angle_deg=float(_get(section, "task_angle_deg", "data.synthetic")),
-                positive_rates=tuple(_get(section, "positive_rates", "data.synthetic")),
-                label_noise=float(_get(section, "label_noise", "data.synthetic", 0.0)),
-                seed=int(_get(section, "seed", "data.synthetic", 0)),
-            )
+            cfg = SyntheticTaskConfig(**fields)
         except ConfigError as exc:
             raise ConfigError(f"data.synthetic: {exc}") from None
         return DataConfig(cfg, None, False, len(cfg.positive_rates), proportions)
     section = raw["csv"]
     _reject_unknown(section, ("path", "n_tasks", "has_group_column"), "data.csv")
-    path = Path(_get(section, "path", "data.csv"))
+    path = _read(section, "path", "data.csv", Path)
     if not path.is_absolute():
         path = base_dir / path
     if not path.exists():
         raise ConfigError(f"data.csv.path: file not found: {path}")
-    n_tasks = int(_get(section, "n_tasks", "data.csv"))
+    n_tasks = _read(section, "n_tasks", "data.csv", int)
     if n_tasks < 1:
         raise ConfigError("data.csv.n_tasks: must be at least 1")
     return DataConfig(
@@ -160,26 +182,27 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
 
 def _resolve_model(raw: dict) -> ModelConfig:
     _reject_unknown(raw, ("shared_widths", "head_widths", "seed"), "model")
-    shared = tuple(int(w) for w in _get(raw, "shared_widths", "model"))
-    heads = tuple(int(w) for w in _get(raw, "head_widths", "model"))
+    shared = _read(raw, "shared_widths", "model", _ints)
+    heads = _read(raw, "head_widths", "model", _ints)
     if not shared or any(w <= 0 for w in shared):
         raise ConfigError("model.shared_widths: must be non-empty positive widths")
     if not heads or any(w <= 0 for w in heads):
         raise ConfigError("model.head_widths: must be non-empty positive widths")
-    return ModelConfig(shared, heads, int(_get(raw, "seed", "model", 0)))
+    return ModelConfig(shared, heads, _read(raw, "seed", "model", int, 0))
 
 
 def _resolve_strategy(raw: dict, index: int) -> StrategyConfig:
     path = f"strategies[{index}]"
-    _reject_unknown(raw, ("kind", "gammas", "lambda", "relax", "per_layer"), path)
+    _reject_unknown(raw, ("kind", "gammas", "lambda", "relax"), path)
+    # Absent keys keep StrategyConfig's own defaults.
+    fields = {"gammas": ("gammas", _floats), "lambda": ("lam", float), "relax": ("relax", float)}
+    kwargs = {
+        name: _read(raw, key, path, convert)
+        for key, (name, convert) in fields.items()
+        if key in raw
+    }
     try:
-        return StrategyConfig(
-            kind=_get(raw, "kind", path),
-            gammas=tuple(float(g) for g in raw.get("gammas", ())),
-            lam=float(raw.get("lambda", 1.0)),
-            relax=float(raw.get("relax", 0.5)),
-            per_layer=bool(raw.get("per_layer", False)),
-        )
+        return StrategyConfig(kind=_get(raw, "kind", path), **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -209,16 +232,17 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     data = _resolve_data(raw["data"], base_dir)
     model = _resolve_model(raw["model"])
 
+    _reject_unknown(raw["train"], _TRAIN_KEYS, "train")
     train_raw = dict(raw["train"])
-    _reject_unknown(train_raw, _TRAIN_KEYS, "train")
     if isinstance(train_raw.get("loss_weights"), list):
         train_raw["loss_weights"] = tuple(train_raw["loss_weights"])
     train_kwargs = {k: train_raw[k] for k in _TRAIN_KEYS if k in train_raw}
 
-    strategies = tuple(_resolve_strategy(s, i) for i, s in enumerate(raw["strategies"]))
+    raw_strategies = _read(raw, "strategies", "config", list)
+    strategies = tuple(_resolve_strategy(s, i) for i, s in enumerate(raw_strategies))
     if not strategies:
         raise ConfigError("strategies: at least one strategy required")
-    seeds = tuple(int(s) for s in raw["seeds"])
+    seeds = _read(raw, "seeds", "config", _ints)
     if not seeds:
         raise ConfigError("seeds: at least one seed required")
     if len(set(seeds)) != len(seeds):
@@ -228,7 +252,7 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     # bad configs fail before any run starts.
     try:
         TrainConfig(strategy=strategies[0], seed=0, **train_kwargs)
-    except (ConfigError, TypeError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from None
     for i, s in enumerate(strategies):
         try:
@@ -243,20 +267,20 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     checkpoints: tuple[int, ...] = ()
     if "validate" in raw:
         _reject_unknown(raw["validate"], ("checkpoints",), "validate")
-        checkpoints = tuple(int(c) for c in raw["validate"].get("checkpoints", ()))
+        checkpoints = _read(raw["validate"], "checkpoints", "validate", _ints, ())
         if any(c < 0 for c in checkpoints):
             raise ConfigError("validate.checkpoints: steps must be non-negative")
 
     probe = ProbeConfig()
     if "probe" in raw:
-        section = dict(raw["probe"])
         _reject_unknown(
-            section,
+            raw["probe"],
             ("grad_tol", "max_iters", "n_bins", "bin_halfwidth", "band", "tasks"),
             "probe",
         )
+        section = dict(raw["probe"])
         if "tasks" in section:
-            section["tasks"] = tuple(int(t) for t in section["tasks"])
+            section["tasks"] = _read(section, "tasks", "probe", _ints)
         try:
             probe = dataclasses.replace(probe, **section)
         except TypeError as exc:
@@ -308,7 +332,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
                 "gammas": list(s.gammas),
                 "lambda": s.lam,
                 "relax": s.relax,
-                "per_layer": s.per_layer,
             }
         )
     return {
@@ -345,10 +368,6 @@ class RunResult:
     run_dir: Path | None
 
 
-def _fresh_strategy(template: StrategyConfig) -> StrategyConfig:
-    return dataclasses.replace(template, state={})
-
-
 def run_one(
     cfg: ExperimentConfig,
     strategy_idx: int,
@@ -367,9 +386,7 @@ def run_one(
         seed=cfg.model.seed + seed,
     )
     theta_params = len(net.get_theta())
-    train_cfg = TrainConfig(
-        strategy=_fresh_strategy(cfg.strategies[strategy_idx]), seed=seed, **cfg.train_kwargs
-    )
+    train_cfg = TrainConfig(strategy=cfg.strategies[strategy_idx], seed=seed, **cfg.train_kwargs)
     started = time.perf_counter()
     try:
         net, log = train(net, splits, train_cfg)
@@ -377,8 +394,8 @@ def run_one(
         raise DivergenceError(f"run {label}/seed {seed}: {exc}") from exc
     wall = time.perf_counter() - started
 
-    final_val = _evaluate_split(net, splits.val)
-    final_test = _evaluate_split(net, splits.test)
+    final_val = evaluate_split(net, splits.val)
+    final_test = evaluate_split(net, splits.test)
 
     run_dir = None
     if output_root is not None:
@@ -513,15 +530,11 @@ def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
         if step in wanted:
             snapshots[step] = live_net.copy()
 
-    train_cfg = TrainConfig(
-        strategy=_fresh_strategy(cfg.strategies[0]), seed=seed, **cfg.train_kwargs
-    )
+    strategy = cfg.strategies[0]
+    train_cfg = TrainConfig(strategy=strategy, seed=seed, **cfg.train_kwargs)
     train(net, splits, train_cfg, step_callback=capture)
 
-    strategy = cfg.strategies[0]
-    lam = strategy.lam
-    gammas = list(strategy.gammas) + [0.0] * (ds.n_tasks - len(strategy.gammas))
-    gammas = [g if g > 0 else 0.1 for g in gammas]
+    gammas = strategy.probe_gammas(ds.n_tasks)
     probe_batch = splits.train.take(
         np.arange(min(int(cfg.train_kwargs["batch_size"]), splits.train.n_rows))
     )
@@ -541,7 +554,7 @@ def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
                 if i == j:
                     continue
                 fd = finite_diff_hvp(grad_fns[j], theta, grads[i])
-                ap = lam * grads[j] * grads[j] * grads[i]
+                ap = approx_hvp(grads[j], grads[i], strategy.lam)
                 fd_norm = float(np.linalg.norm(fd))
                 ap_norm = float(np.linalg.norm(ap))
                 cosine = (

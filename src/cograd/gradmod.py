@@ -13,12 +13,14 @@ parameters:
 
 Every modified gradient is computed from the original (pre-modification)
 gradients simultaneously; only pcgrad is sequential, following its source
-method. Inputs are never mutated.
+method. Gradients are plain float64 vectors and are never mutated; the only
+state a strategy keeps between steps, magnitude balancing's moving norms, is
+an array owned by the caller's run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,12 +31,16 @@ from .errors import (
     DimensionError,
     EvaluationError,
 )
-from .tensor_core import ParamVector, finite_diff_hvp
+from .tensor_core import finite_diff_hvp
 
 STRATEGY_KINDS = ("sum", "cograd", "cograd_exact_hvp", "pcgrad", "magnitude_balance")
 
 # Exact-HVP cost grows as parameters x tasks^2 gradient evaluations per step.
 EXACT_HVP_PARAM_BUDGET = 10_000
+
+# Probes pair tasks at a gamma below typical learning rates when a strategy
+# carries no positive gamma of its own.
+_DEFAULT_PROBE_GAMMA = 0.1
 
 
 @dataclass
@@ -53,25 +59,22 @@ class TransferenceRecord:
             raise ConfigError("gamma_used must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
-    """Selects and parameterizes one gradient strategy.
+    """Selects and parameterizes one gradient strategy; an immutable value.
 
     ``gammas`` are the per-task virtual learning rates of the transference
     correction (zero disables a task's contribution); ``lam`` scales the
-    curvature surrogate; ``relax`` softens magnitude balancing; ``state``
-    carries the moving-average norms between magnitude-balance steps.
+    curvature surrogate; ``relax`` softens magnitude balancing.
     """
 
     kind: str
     gammas: tuple[float, ...] = ()
     lam: float = 1.0
     relax: float = 0.5
-    per_layer: bool = False
-    state: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.gammas = tuple(float(g) for g in self.gammas)
+        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}")
         if any(g < 0 for g in self.gammas):
@@ -80,8 +83,6 @@ class StrategyConfig:
             raise ConfigError("lam must be positive")
         if not 0.0 <= self.relax <= 1.0:
             raise ConfigError("relax must lie in [0, 1]")
-        if self.per_layer and self.kind in ("cograd_exact_hvp", "magnitude_balance"):
-            raise ConfigError(f"per_layer is not supported for {self.kind}")
 
     def check_tasks(self, num_tasks: int) -> None:
         if self.kind in ("cograd", "cograd_exact_hvp") and len(self.gammas) != num_tasks:
@@ -90,16 +91,14 @@ class StrategyConfig:
                 f"({num_tasks}), got {len(self.gammas)}"
             )
 
+    def probe_gammas(self, num_tasks: int) -> list[float]:
+        """Per-task gammas for transference probes; unset or zero ones fall back."""
+        gammas = list(self.gammas) + [0.0] * (num_tasks - len(self.gammas))
+        return [g if g > 0 else _DEFAULT_PROBE_GAMMA for g in gammas]
+
 
 def _values(grad) -> np.ndarray:
     return np.asarray(grad, dtype=np.float64)
-
-
-def _wrap(values: np.ndarray, like):
-    """Return values in the container style of ``like``."""
-    if isinstance(like, ParamVector):
-        return ParamVector(values, like.layout)
-    return values
 
 
 def _check_equal_lengths(vectors: Sequence[np.ndarray]) -> int:
@@ -168,7 +167,7 @@ def measure_transference(
     return records
 
 
-def approx_hvp(g_owner, direction, lam: float = 1.0):
+def approx_hvp(g_owner, direction, lam: float = 1.0) -> np.ndarray:
     """Squared-gradient surrogate for H_owner . direction: lam * g^2 (.) direction."""
     if lam <= 0:
         raise ConfigError("lam must be positive")
@@ -176,21 +175,10 @@ def approx_hvp(g_owner, direction, lam: float = 1.0):
     d = _values(direction)
     if go.size != d.size:
         raise DimensionError(f"owner gradient has {go.size} entries, direction has {d.size}")
-    return _wrap(lam * go * go * d, g_owner)
+    return lam * go * go * d
 
 
-def _cograd_core(values: list[np.ndarray], gammas: tuple[float, ...], lam: float) -> list[np.ndarray]:
-    out = []
-    for i, gi in enumerate(values):
-        correction = np.zeros_like(gi)
-        for j, gj in enumerate(values):
-            if j != i and gammas[j] != 0.0:
-                correction += gammas[j] * gj
-        out.append(gi - lam * gi * gi * correction)
-    return out
-
-
-def cograd_modify(grads: Sequence, cfg: StrategyConfig) -> list:
+def cograd_modify(grads: Sequence, cfg: StrategyConfig) -> list[np.ndarray]:
     """Transference-raising modification g_i - sum_{j!=i} gamma_j*lam*g_i(.)g_i(.)g_j.
 
     All outputs are computed from the original gradients simultaneously.
@@ -203,13 +191,15 @@ def cograd_modify(grads: Sequence, cfg: StrategyConfig) -> list:
     # Null cases return untouched copies so downstream arithmetic is bitwise
     # identical to the plain sum baseline.
     if len(grads) == 1 or all(g == 0.0 for g in cfg.gammas):
-        return [_wrap(v.copy(), g) for v, g in zip(values, grads)]
-    if cfg.per_layer:
-        # Elementwise arithmetic is layout-independent; slicing is supported
-        # for interface parity with the other strategies.
-        return _apply_per_layer(grads, values, lambda vs: _cograd_core(vs, cfg.gammas, cfg.lam))
-    out = _cograd_core(values, cfg.gammas, cfg.lam)
-    return [_wrap(v, g) for v, g in zip(out, grads)]
+        return [v.copy() for v in values]
+    out = []
+    for i, gi in enumerate(values):
+        correction = np.zeros_like(gi)
+        for j, gj in enumerate(values):
+            if j != i and cfg.gammas[j] != 0.0:
+                correction += cfg.gammas[j] * gj
+        out.append(gi - approx_hvp(gi, correction, cfg.lam))
+    return out
 
 
 def cograd_modify_exact_hvp(
@@ -217,7 +207,7 @@ def cograd_modify_exact_hvp(
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     theta,
     cfg: StrategyConfig,
-) -> list:
+) -> list[np.ndarray]:
     """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
 
     H_i g_j comes from central differences of task i's gradient function, so
@@ -236,7 +226,7 @@ def cograd_modify_exact_hvp(
     values = [_values(g) for g in grads]
     _check_equal_lengths(values)
     if len(grads) == 1 or all(g == 0.0 for g in cfg.gammas):
-        return [_wrap(v.copy(), g) for v, g in zip(values, grads)]
+        return [v.copy() for v in values]
     out = []
     for i, gi in enumerate(values):
         modified = gi.copy()
@@ -244,26 +234,6 @@ def cograd_modify_exact_hvp(
             if j != i and cfg.gammas[j] != 0.0:
                 modified -= cfg.gammas[j] * finite_diff_hvp(grad_fns[i], th, gj)
         out.append(modified)
-    return [_wrap(v, g) for v, g in zip(out, grads)]
-
-
-def _pcgrad_core(values: list[np.ndarray], order: np.ndarray) -> list[np.ndarray]:
-    out: list[np.ndarray] = [None] * len(values)  # type: ignore[list-item]
-    for i in order:
-        projected = values[i].copy()
-        for j in order:
-            if j == i:
-                continue
-            partner = values[j]  # original gradient, never the projected one
-            dot = float(np.dot(projected, partner))
-            if dot < 0.0:
-                norm_sq = float(np.dot(partner, partner))
-                if norm_sq == 0.0:
-                    raise DegenerateGradientError(
-                        f"task {i} conflicts with zero-norm gradient of task {j}"
-                    )
-                projected -= (dot / norm_sq) * partner
-        out[i] = projected
     return out
 
 
@@ -271,7 +241,7 @@ def pcgrad_modify(
     grads: Sequence,
     order_seed: int | None = None,
     order: Sequence[int] | None = None,
-) -> list:
+) -> list[np.ndarray]:
     """Sequentially project each gradient off conflicting partners.
 
     Task i's gradient is projected onto the normal plane of every original
@@ -289,35 +259,50 @@ def pcgrad_modify(
         traversal = np.random.default_rng(order_seed).permutation(n)
     else:
         traversal = np.arange(n)
-    out = _pcgrad_core(values, traversal)
-    return [_wrap(v, g) for v, g in zip(out, grads)]
+    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    for i in traversal:
+        projected = values[i].copy()
+        for j in traversal:
+            if j == i:
+                continue
+            partner = values[j]  # original gradient, never the projected one
+            dot = float(np.dot(projected, partner))
+            if dot < 0.0:
+                norm_sq = float(np.dot(partner, partner))
+                if norm_sq == 0.0:
+                    raise DegenerateGradientError(
+                        f"task {i} conflicts with zero-norm gradient of task {j}"
+                    )
+                projected -= (dot / norm_sq) * partner
+        out[i] = projected
+    return out
 
 
-def magnitude_balance(grads: Sequence, cfg: StrategyConfig) -> list:
+def magnitude_balance(
+    grads: Sequence, cfg: StrategyConfig, moving_norms: np.ndarray
+) -> list[np.ndarray]:
     """Scale non-anchor gradients toward the anchor task's moving-average norm.
 
-    Norms are tracked as m_t <- 0.9 m_t + 0.1 ||g_t|| (zero-initialized,
-    updated before scaling); each task t > 0 is scaled by (m_0 / m_t)^relax.
-    Task 0 is the anchor and passes through unscaled. Mutates ``cfg.state``.
+    ``moving_norms`` holds one running norm per task, zeros at the start of a
+    run, and is updated in place as m_t <- 0.9 m_t + 0.1 ||g_t|| before
+    scaling. Each task t > 0 is scaled by (m_0 / m_t)^relax; task 0 is the
+    anchor and passes through unscaled.
     """
     values = [_values(g) for g in grads]
     _check_equal_lengths(values)
     n = len(values)
-    moving = cfg.state.setdefault("moving_norms", np.zeros(n))
-    if moving.shape != (n,):
-        raise DimensionError(
-            f"strategy state tracks {moving.shape[0]} tasks, got {n} gradients"
-        )
+    if moving_norms.shape != (n,):
+        raise DimensionError(f"moving norms track {moving_norms.size} tasks, got {n} gradients")
     norms = np.array([float(np.linalg.norm(v)) for v in values])
-    moving *= 0.9
-    moving += 0.1 * norms
+    moving_norms *= 0.9
+    moving_norms += 0.1 * norms
     out = [values[0].copy()]
     for t in range(1, n):
-        if moving[t] == 0.0:
+        if moving_norms[t] == 0.0:
             raise DegenerateGradientError(f"task {t} has zero moving-average gradient norm")
-        scale = (moving[0] / moving[t]) ** cfg.relax
+        scale = (moving_norms[0] / moving_norms[t]) ** cfg.relax
         out.append(values[t] * scale)
-    return [_wrap(v, g) for v, g in zip(out, grads)]
+    return out
 
 
 def pairwise_cosine(grads: Sequence) -> np.ndarray:
@@ -334,35 +319,22 @@ def pairwise_cosine(grads: Sequence) -> np.ndarray:
     return out
 
 
-def _apply_per_layer(grads: Sequence, values: list[np.ndarray], op) -> list:
-    """Run a strategy independently on each named parameter block."""
-    layouts = [g.layout for g in grads if isinstance(g, ParamVector)]
-    if len(layouts) != len(grads):
-        raise ConfigError("per_layer requires gradients with a parameter layout")
-    if any(layout != layouts[0] for layout in layouts[1:]):
-        raise DimensionError("per_layer requires identical layouts across tasks")
-    out = [np.empty_like(v) for v in values]
-    for entry in layouts[0]:
-        sl = slice(entry.offset, entry.offset + entry.size)
-        for t, block in enumerate(op([v[sl] for v in values])):
-            out[t][sl] = block
-    return [_wrap(v, g) for v, g in zip(out, grads)]
-
-
 def modify_gradients(
     grads: Sequence,
     cfg: StrategyConfig,
     order_seed: int | None = None,
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     theta=None,
-) -> list:
+    moving_norms: np.ndarray | None = None,
+) -> list[np.ndarray]:
     """Dispatch to the strategy named by ``cfg.kind``.
 
     ``order_seed`` feeds pcgrad's traversal; ``grad_fns`` and ``theta`` are
-    required by the exact-HVP variant only.
+    required by the exact-HVP variant only, and ``moving_norms`` (the run's
+    state, updated in place) by magnitude balancing only.
     """
     if cfg.kind == "sum":
-        return [_wrap(_values(g).copy(), g) for g in grads]
+        return [_values(g).copy() for g in grads]
     if cfg.kind == "cograd":
         return cograd_modify(grads, cfg)
     if cfg.kind == "cograd_exact_hvp":
@@ -370,18 +342,9 @@ def modify_gradients(
             raise ConfigError("cograd_exact_hvp needs grad_fns and theta")
         return cograd_modify_exact_hvp(grads, grad_fns, theta, cfg)
     if cfg.kind == "pcgrad":
-        if cfg.per_layer:
-            return _apply_per_layer(
-                grads,
-                [_values(g) for g in grads],
-                lambda vs: _pcgrad_core(
-                    vs,
-                    np.random.default_rng(order_seed).permutation(len(vs))
-                    if order_seed is not None
-                    else np.arange(len(vs)),
-                ),
-            )
         return pcgrad_modify(grads, order_seed=order_seed)
     if cfg.kind == "magnitude_balance":
-        return magnitude_balance(grads, cfg)
+        if moving_norms is None:
+            raise ConfigError("magnitude_balance needs the run's moving_norms")
+        return magnitude_balance(grads, cfg, moving_norms)
     raise ConfigError(f"unknown strategy kind {cfg.kind!r}")

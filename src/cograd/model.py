@@ -427,7 +427,7 @@ def load_net(path: str | Path) -> SharedBottomNet:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"checkpoint is not valid JSON: {path}: {exc}") from exc
-    if payload.get("format") != "cograd-checkpoint-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "cograd-checkpoint-v1":
         raise ConfigError(f"unrecognized checkpoint format in {path}")
 
     def make(layer: dict) -> DenseLayer:
@@ -437,6 +437,11 @@ def load_net(path: str | Path) -> SharedBottomNet:
             layer["activation"],
         )
 
-    shared = [make(layer) for layer in payload["shared"]]
-    heads = [[make(layer) for layer in head] for head in payload["heads"]]
-    return SharedBottomNet(payload["input_dim"], shared, heads)
+    try:
+        shared = [make(layer) for layer in payload["shared"]]
+        heads = [[make(layer) for layer in head] for head in payload["heads"]]
+        return SharedBottomNet(payload["input_dim"], shared, heads)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {exc}") from None

@@ -9,7 +9,9 @@ One training step on a batch:
    modified gradients.
 
 Head updates never see the strategy: gradient coordination acts on shared
-parameters only. Runs are bitwise deterministic given the config seed.
+parameters only. Everything a run updates (optimizer moments, magnitude
+balancing's moving norms) is created inside ``train``, so runs are bitwise
+deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ from .tasks_data import DatasetSplits, MultiTaskDataset, batches
 from scipy.special import expit
 
 _OPTIMIZERS = ("adam", "sgd")
-
-# Probe pairs at a gamma below typical learning rates when a strategy
-# carries no positive gamma of its own.
-_DEFAULT_PROBE_GAMMA = 0.1
 
 
 @dataclass
@@ -174,12 +172,26 @@ def _resolve_weights(cfg: TrainConfig, train_ds: MultiTaskDataset) -> np.ndarray
     return weights
 
 
-def _probe_gammas(strategy: StrategyConfig, num_tasks: int) -> list[float]:
-    gammas = list(strategy.gammas) + [0.0] * (num_tasks - len(strategy.gammas))
-    return [g if g > 0 else _DEFAULT_PROBE_GAMMA for g in gammas]
+def _optimizer_step(params, grad, state: AdamState | None, eta: float, step: int) -> np.ndarray:
+    """One Adam update when ``state`` is given, else one SGD update.
+
+    A non-finite gradient or Adam moment raises DivergenceError naming
+    ``step``: an overflowed second moment would otherwise freeze the
+    parameters silently.
+    """
+    if state is None:
+        new, moments = sgd_step(params, grad, eta), ()
+    else:
+        new, moments = adam_step(params, grad, state, eta), (state.m, state.v)
+    if not all(np.isfinite(a).all() for a in (grad, *moments)):
+        raise DivergenceError(
+            f"training diverged at step {step}: non-finite gradient or optimizer moment"
+        )
+    return new
 
 
-def _evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset) -> EvalRecord:
+def evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset) -> EvalRecord:
+    """Ranking metric of every task on one split: GAUC when it has groups, else AUC."""
     logits, _ = forward(net, ds.features)
     scores = expit(logits)
     metric = "gauc" if ds.group_ids is not None else "auc"
@@ -202,8 +214,9 @@ def train(
 
     Evaluates ranking metrics on the validation split every ``eval_every``
     steps. ``step_callback(step, net)`` fires after each trunk update, for
-    checkpoint capture. Aborts with the step index if any loss goes
-    non-finite. The net is trained in place and also returned.
+    checkpoint capture. Aborts with the step index if any loss, gradient or
+    optimizer moment goes non-finite. The net is trained in place and also
+    returned.
     """
     num_tasks = net.num_tasks
     if splits.train.n_tasks != num_tasks:
@@ -215,9 +228,10 @@ def train(
     theta_size = len(net.get_theta())
     use_adam = cfg.optimizer == "adam"
     theta_state = AdamState.zeros(theta_size) if use_adam else None
-    phi_states = (
-        [AdamState.zeros(len(net.get_phi(t))) for t in range(num_tasks)] if use_adam else None
-    )
+    phi_states = [
+        AdamState.zeros(len(net.get_phi(t))) if use_adam else None for t in range(num_tasks)
+    ]
+    moving_norms = np.zeros(num_tasks)
 
     step = 0
     epoch = 0
@@ -232,10 +246,9 @@ def train(
                 for t in range(num_tasks):
                     _, grad_phi = backward_task(net, cache, y[:, t], t)
                     phi_grad = weights[t] * grad_phi.values
-                    if use_adam:
-                        new_phi = adam_step(net.get_phi(t).values, phi_grad, phi_states[t], cfg.learning_rate)
-                    else:
-                        new_phi = sgd_step(net.get_phi(t).values, phi_grad, cfg.learning_rate)
+                    new_phi = _optimizer_step(
+                        net.get_phi(t).values, phi_grad, phi_states[t], cfg.learning_rate, step
+                    )
                     net.set_phi(t, new_phi)
 
                 # Phase 2: per-task trunk gradients at the updated heads.
@@ -247,7 +260,7 @@ def train(
             for t in range(num_tasks):
                 losses.append(task_loss(logits[:, t], y[:, t]))
                 grad_theta, _ = backward_task(net, cache, y[:, t], t)
-                raw_grads.append(grad_theta)
+                raw_grads.append(grad_theta.values)
             if not all(np.isfinite(losses)):
                 raise DivergenceError(f"training diverged at step {step}: non-finite loss")
 
@@ -259,7 +272,7 @@ def train(
                         net.get_theta().values,
                         raw_grads,
                         loss_fns,
-                        _probe_gammas(cfg.strategy, num_tasks),
+                        cfg.strategy.probe_gammas(num_tasks),
                     )
                 )
 
@@ -272,20 +285,20 @@ def train(
                 order_seed=cfg.seed * 1_000_003 + step,
                 grad_fns=grad_fns,
                 theta=net.get_theta().values,
+                moving_norms=moving_norms,
             )
 
             aggregate = np.zeros(theta_size)
             for t in range(num_tasks):
-                aggregate += weights[t] * np.asarray(modified[t])
-            if use_adam:
-                new_theta = adam_step(net.get_theta().values, aggregate, theta_state, cfg.learning_rate)
-            else:
-                new_theta = sgd_step(net.get_theta().values, aggregate, cfg.learning_rate)
+                aggregate += weights[t] * modified[t]
+            new_theta = _optimizer_step(
+                net.get_theta().values, aggregate, theta_state, cfg.learning_rate, step
+            )
             net.set_theta(new_theta)
 
             log.add_step(StepRecord(step=step, losses=tuple(losses), cosines=pairwise_cosine(raw_grads)))
             if cfg.eval_every and step % cfg.eval_every == 0:
-                record = _evaluate_split(net, splits.val)
+                record = evaluate_split(net, splits.val)
                 log.add_eval(EvalRecord(step=step, metric=record.metric, values=record.values))
             if step_callback is not None:
                 step_callback(step, net)

@@ -81,6 +81,17 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_overflowing_optimizer_moment_exits_3(tmp_path, capsys):
+    # Huge gammas overflow Adam's second moment; the trunk would stop moving
+    # while the run reported success.
+    import numpy as np
+
+    config, _ = write_config(tmp_path, strategies=[{"kind": "cograd", "gammas": [1e300, 1e300]}])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", str(config)]) == 3
+    assert "diverged at step 1" in capsys.readouterr().err
+
+
 def test_output_dir_override(tmp_path):
     config, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"
@@ -171,6 +182,17 @@ def test_probe_corrupt_checkpoint_exits_2(tmp_path, capsys):
     mangled.write_text("{not json", encoding="utf-8")
     assert main(["probe", str(mangled), str(csv_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_probe_checkpoint_missing_key_exits_2(tmp_path, capsys):
+    _, csv_path, _ = probe_fixtures(tmp_path)
+    partial = tmp_path / "partial.json"
+    partial.write_text(
+        json.dumps({"format": "cograd-checkpoint-v1", "input_dim": 6, "heads": []}),
+        encoding="utf-8",
+    )
+    assert main(["probe", str(partial), str(csv_path)]) == 2
+    assert "missing key 'shared'" in capsys.readouterr().err
 
 
 def test_capacity_sweep_command(tmp_path, capsys):

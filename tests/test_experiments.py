@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cograd import (
     ConfigError,
@@ -42,6 +44,16 @@ def base_config(**overrides):
         "output_dir": "out",
     }
     raw.update(overrides)
+    return raw
+
+
+def with_field(raw, field, value):
+    """Set the dotted config ``field`` of ``raw`` to ``value``; returns ``raw``."""
+    *parents, key = field.split(".")
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = value
     return raw
 
 
@@ -89,6 +101,59 @@ def test_error_paths_name_offending_field(tmp_path):
         raw = base_config()
         raw["train"]["optimizer"] = "adagrad"
         resolve_config(raw, tmp_path)
+    with pytest.raises(ConfigError, match=r"strategies\[0\]\.per_layer: unknown field"):
+        resolve(tmp_path, strategies=[{"kind": "pcgrad", "per_layer": True}])
+    # Values of the wrong type name their field instead of escaping as
+    # ValueError or TypeError.
+    for field, value in [
+        ("model.shared_widths", "abc"),
+        ("model.head_widths", 4),
+        ("model.seed", [1]),
+        ("data.split", "abc"),
+        ("data.synthetic.n_samples", "many"),
+        ("data.synthetic.positive_rates", 0.5),
+        ("data.synthetic.task_angle_deg", None),
+        ("seeds", ["a"]),
+        ("strategies", 5),
+        ("validate.checkpoints", 3),
+    ]:
+        raw = with_field(base_config(validate={}), field, value)
+        with pytest.raises(ConfigError, match=field):
+            resolve_config(raw, tmp_path)
+
+
+_TYPED_FIELDS = (
+    "model.shared_widths",
+    "model.head_widths",
+    "model.seed",
+    "data.split",
+    "data.synthetic.n_samples",
+    "data.synthetic.n_features",
+    "data.synthetic.task_angle_deg",
+    "data.synthetic.positive_rates",
+    "data.synthetic.label_noise",
+    "data.synthetic.seed",
+    "seeds",
+    "strategies",
+    "validate.checkpoints",
+)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_TYPED_FIELDS), value=_JSON_VALUES)
+def test_any_json_value_in_typed_field_resolves_or_config_error(tmp_path_factory, field, value):
+    raw = with_field(base_config(validate={}), field, value)
+    try:
+        resolve_config(raw, tmp_path_factory.getbasetemp())
+    except ConfigError:
+        pass
 
 
 def test_exactly_one_data_source(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from cograd import (
     cograd_modify_exact_hvp,
     finite_diff_gradient,
     finite_diff_hvp,
-    flatten_params,
     magnitude_balance,
     measure_transference,
     modify_gradients,
@@ -288,7 +289,7 @@ def test_pcgrad_seeded_order_deterministic():
 
 def test_magnitude_balance_relax_zero_unchanged():
     grads = [np.array([3.0, 4.0]), np.array([0.1, 0.0])]
-    out = magnitude_balance(grads, cfg(kind="magnitude_balance", gammas=(), relax=0.0))
+    out = magnitude_balance(grads, cfg(kind="magnitude_balance", gammas=(), relax=0.0), np.zeros(2))
     assert np.array_equal(out[0], grads[0]) and np.array_equal(out[1], grads[1])
 
 
@@ -297,7 +298,7 @@ def test_magnitude_balance_first_step_scaling():
     # so the non-anchor gradient scales by exactly 10.
     strategy = cfg(kind="magnitude_balance", gammas=(), relax=1.0)
     grads = [np.array([10.0, 0.0]), np.array([1.0, 0.0])]
-    out = magnitude_balance(grads, strategy)
+    out = magnitude_balance(grads, strategy, np.zeros(2))
     assert np.allclose(out[1], [10.0, 0.0], atol=1e-12)
     assert np.array_equal(out[0], grads[0])
 
@@ -306,7 +307,7 @@ def test_magnitude_balance_preserves_direction():
     rng = np.random.default_rng(10)
     strategy = cfg(kind="magnitude_balance", gammas=(), relax=0.7)
     grads = [rng.standard_normal(8), rng.standard_normal(8)]
-    out = magnitude_balance(grads, strategy)
+    out = magnitude_balance(grads, strategy, np.zeros(2))
     cos = float(np.dot(out[1], grads[1])) / (
         np.linalg.norm(out[1]) * np.linalg.norm(grads[1])
     )
@@ -316,17 +317,20 @@ def test_magnitude_balance_preserves_direction():
 def test_magnitude_balance_state_accumulates():
     strategy = cfg(kind="magnitude_balance", gammas=(), relax=1.0)
     grads = [np.array([10.0, 0.0]), np.array([1.0, 0.0])]
-    magnitude_balance(grads, strategy)
-    magnitude_balance(grads, strategy)
+    moving_norms = np.zeros(2)
+    magnitude_balance(grads, strategy, moving_norms)
+    modify_gradients(grads, strategy, moving_norms=moving_norms)
     # m_t after two identical steps: 0.1*||g|| * (1 + 0.9)
-    assert strategy.state["moving_norms"][0] == pytest.approx(1.9)
-    assert strategy.state["moving_norms"][1] == pytest.approx(0.19)
+    assert moving_norms[0] == pytest.approx(1.9)
+    assert moving_norms[1] == pytest.approx(0.19)
+    with pytest.raises(DimensionError):
+        magnitude_balance(grads, strategy, np.zeros(3))
 
 
 def test_magnitude_balance_zero_norm_degenerate():
     strategy = cfg(kind="magnitude_balance", gammas=(), relax=1.0)
     with pytest.raises(DegenerateGradientError):
-        magnitude_balance([np.ones(3), np.zeros(3)], strategy)
+        magnitude_balance([np.ones(3), np.zeros(3)], strategy, np.zeros(2))
 
 
 def test_pairwise_cosine_cases():
@@ -364,40 +368,18 @@ def test_pcgrad_permutation_consistency_fixed_order():
         assert np.allclose(out_p[k], out[p], atol=1e-12)
 
 
-def test_param_vector_wrapping_preserved():
-    pv1 = flatten_params({"w": np.array([1.0, 2.0])})
-    pv2 = flatten_params({"w": np.array([1.0, 1.0])})
-    out = cograd_modify([pv1, pv2], cfg(gammas=(0.2, 0.1)))
-    assert out[0].layout == pv1.layout
-    assert np.allclose(out[0].values, [0.9, 1.6])
-
-
-def test_per_layer_cograd_matches_full_vector():
-    # Elementwise arithmetic cannot see the layout, so slicing changes nothing.
-    params = {"a": np.random.default_rng(1).standard_normal(4), "b": np.ones((2, 2))}
-    pv1 = flatten_params(params)
-    pv2 = flatten_params({k: v * 0.5 for k, v in params.items()})
-    full = cograd_modify([pv1, pv2], cfg(gammas=(0.2, 0.1)))
-    sliced = cograd_modify([pv1, pv2], cfg(gammas=(0.2, 0.1), per_layer=True))
-    for a, b in zip(full, sliced):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_per_layer_pcgrad_projects_blocks_independently():
-    # First block conflicts, second does not; per-layer surgery touches only
-    # the conflicting block.
-    pv1 = flatten_params({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0])})
-    pv2 = flatten_params({"a": np.array([-1.0, 1.0]), "b": np.array([1.0, 1.0])})
-    strategy = StrategyConfig(kind="pcgrad", per_layer=True)
-    out = modify_gradients([pv1, pv2], strategy)
-    assert np.allclose(out[0].values[:2], [0.5, 0.5])
-    assert np.array_equal(out[0].values[2:], [1.0, 0.0])
-
-
 def test_modify_gradients_sum_returns_copies():
     grads = [np.ones(3), np.zeros(3)]
     out = modify_gradients(grads, StrategyConfig(kind="sum"))
     assert np.array_equal(out[0], grads[0]) and out[0] is not grads[0]
+
+
+def test_modify_gradients_requires_run_state():
+    grads = [np.ones(3), np.ones(3)]
+    with pytest.raises(ConfigError, match="moving_norms"):
+        modify_gradients(grads, StrategyConfig(kind="magnitude_balance"))
+    with pytest.raises(ConfigError, match="grad_fns"):
+        modify_gradients(grads, StrategyConfig(kind="cograd_exact_hvp", gammas=(0.1, 0.1)))
 
 
 def test_strategy_config_validation():
@@ -409,8 +391,8 @@ def test_strategy_config_validation():
         StrategyConfig(kind="cograd", gammas=(0.1,), lam=0.0)
     with pytest.raises(ConfigError):
         StrategyConfig(kind="magnitude_balance", relax=1.5)
-    with pytest.raises(ConfigError):
-        StrategyConfig(kind="cograd_exact_hvp", gammas=(0.1, 0.1), per_layer=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        StrategyConfig(kind="cograd", gammas=(0.1, 0.1)).lam = 2.0
 
 
 def test_transference_record_requires_positive_gamma():

@@ -7,6 +7,7 @@ from cograd import (
     DivergenceError,
     ProbeConfig,
     ProbeError,
+    STRATEGY_KINDS,
     StrategyConfig,
     TrainConfig,
     adam_step,
@@ -118,6 +119,18 @@ def test_train_deterministic_across_runs():
         assert np.array_equal(net_a.get_phi(t).values, net_b.get_phi(t).values)
     assert [r.losses for r in log_a.steps] == [r.losses for r in log_b.steps]
     assert [r.values for r in log_a.evals] == [r.values for r in log_b.evals]
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_one_config_trains_twice_bitwise(kind):
+    # Nothing a run updates may live in the config it is given.
+    splits = split(small_dataset(), (4, 1, 1))
+    cfg = small_config(strategy=StrategyConfig(kind=kind, gammas=(0.5, 0.5)))
+    net_a, _ = train(small_net(), splits, cfg)
+    net_b, _ = train(small_net(), splits, cfg)
+    assert np.array_equal(net_a.get_theta().values, net_b.get_theta().values)
+    for t in range(2):
+        assert np.array_equal(net_a.get_phi(t).values, net_b.get_phi(t).values)
 
 
 def test_null_strategies_match_sum_bitwise():

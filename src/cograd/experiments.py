@@ -62,18 +62,6 @@ from .trainer import (
 
 _REQUIRED = object()
 
-_TRAIN_KEYS = (
-    "steps",
-    "batch_size",
-    "learning_rate",
-    "loss_weights",
-    "eval_every",
-    "optimizer",
-    "shuffle",
-    "transference_every",
-)
-
-
 def _get(section: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
     if key in section:
         return section[key]
@@ -93,12 +81,58 @@ def _read(
         raise ConfigError(f"{path}.{key}: cannot read {value!r}: {exc}") from None
 
 
+def _int(value: Any) -> int:
+    """``int(value)``, refusing to truncate a fractional number."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError("not an integer")
+    return number
+
+
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _items(values: Any) -> list | tuple:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return values
+
+
 def _ints(values: Any) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in _items(values))
 
 
 def _floats(values: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(float(v) for v in _items(values))
+
+
+def _loss_weights(value: Any) -> tuple[float, ...] | str | None:
+    return value if value is None or value == "prior" else _floats(value)
+
+
+# Converters of the fields of the train and probe sections; an absent field
+# keeps the TrainConfig / ProbeConfig default.
+_TRAIN_FIELDS = {
+    "steps": _int,
+    "batch_size": _int,
+    "learning_rate": float,
+    "loss_weights": _loss_weights,
+    "eval_every": _int,
+    "optimizer": str,
+    "shuffle": _bool,
+    "transference_every": _int,
+}
+_PROBE_FIELDS = {
+    "grad_tol": float,
+    "max_iters": _int,
+    "n_bins": _int,
+    "bin_halfwidth": float,
+    "band": float,
+    "tasks": _ints,
+}
 
 
 def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -107,6 +141,14 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+
+
+def _read_present(section: dict, fields: dict[str, Callable[[Any], Any]], path: str) -> dict:
+    """The fields present in ``section``, each read through its converter."""
+    _reject_unknown(section, tuple(fields), path)
+    return {
+        key: _read(section, key, path, convert) for key, convert in fields.items() if key in section
+    }
 
 
 @dataclass(frozen=True)
@@ -153,12 +195,12 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
             "data.synthetic",
         )
         fields = dict(
-            n_samples=_read(section, "n_samples", "data.synthetic", int),
-            n_features=_read(section, "n_features", "data.synthetic", int),
+            n_samples=_read(section, "n_samples", "data.synthetic", _int),
+            n_features=_read(section, "n_features", "data.synthetic", _int),
             task_angle_deg=_read(section, "task_angle_deg", "data.synthetic", float),
             positive_rates=_read(section, "positive_rates", "data.synthetic", _floats),
             label_noise=_read(section, "label_noise", "data.synthetic", float, 0.0),
-            seed=_read(section, "seed", "data.synthetic", int, 0),
+            seed=_read(section, "seed", "data.synthetic", _int, 0),
         )
         try:
             cfg = SyntheticTaskConfig(**fields)
@@ -172,7 +214,7 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
         path = base_dir / path
     if not path.exists():
         raise ConfigError(f"data.csv.path: file not found: {path}")
-    n_tasks = _read(section, "n_tasks", "data.csv", int)
+    n_tasks = _read(section, "n_tasks", "data.csv", _int)
     if n_tasks < 1:
         raise ConfigError("data.csv.n_tasks: must be at least 1")
     return DataConfig(
@@ -188,7 +230,7 @@ def _resolve_model(raw: dict) -> ModelConfig:
         raise ConfigError("model.shared_widths: must be non-empty positive widths")
     if not heads or any(w <= 0 for w in heads):
         raise ConfigError("model.head_widths: must be non-empty positive widths")
-    return ModelConfig(shared, heads, _read(raw, "seed", "model", int, 0))
+    return ModelConfig(shared, heads, _read(raw, "seed", "model", _int, 0))
 
 
 def _resolve_strategy(raw: dict, index: int) -> StrategyConfig:
@@ -232,11 +274,7 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     data = _resolve_data(raw["data"], base_dir)
     model = _resolve_model(raw["model"])
 
-    _reject_unknown(raw["train"], _TRAIN_KEYS, "train")
-    train_raw = dict(raw["train"])
-    if isinstance(train_raw.get("loss_weights"), list):
-        train_raw["loss_weights"] = tuple(train_raw["loss_weights"])
-    train_kwargs = {k: train_raw[k] for k in _TRAIN_KEYS if k in train_raw}
+    train_kwargs = _read_present(raw["train"], _TRAIN_FIELDS, "train")
 
     raw_strategies = _read(raw, "strategies", "config", list)
     strategies = tuple(_resolve_strategy(s, i) for i, s in enumerate(raw_strategies))
@@ -252,7 +290,7 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     # bad configs fail before any run starts.
     try:
         TrainConfig(strategy=strategies[0], seed=0, **train_kwargs)
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError) as exc:
         raise ConfigError(f"train: {exc}") from None
     for i, s in enumerate(strategies):
         try:
@@ -271,20 +309,9 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if any(c < 0 for c in checkpoints):
             raise ConfigError("validate.checkpoints: steps must be non-negative")
 
-    probe = ProbeConfig()
-    if "probe" in raw:
-        _reject_unknown(
-            raw["probe"],
-            ("grad_tol", "max_iters", "n_bins", "bin_halfwidth", "band", "tasks"),
-            "probe",
-        )
-        section = dict(raw["probe"])
-        if "tasks" in section:
-            section["tasks"] = _read(section, "tasks", "probe", _ints)
-        try:
-            probe = dataclasses.replace(probe, **section)
-        except TypeError as exc:
-            raise ConfigError(f"probe: {exc}") from None
+    probe = ProbeConfig(**_read_present(raw.get("probe", {}), _PROBE_FIELDS, "probe"))
+    if len(probe.tasks) != 2:
+        raise ConfigError("probe.tasks: expected two task indices")
 
     return ExperimentConfig(
         data=data,

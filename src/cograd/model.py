@@ -6,6 +6,11 @@ and task-specific parameters (each head) are kept strictly separate so that
 per-task trunk gradients can be extracted and modified independently of the
 head updates.
 
+The net owns its parameters as flat buffers, one for the trunk and one per
+head, and its layers' tensors are views into them. So the flat vectors the
+gradient strategies work on are read with one copy and written with one
+slice assignment.
+
 All tensors are float64. Forward and backward are pure given (net, batch);
 parameter mutation happens only through ``set_theta`` / ``set_phi``.
 """
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DataError, DimensionError, EvaluationError
-from .tensor_core import ParamVector, flatten_params, unflatten_params
+from .tensor_core import LayoutEntry, ParamVector
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -52,9 +57,6 @@ class DenseLayer:
     def fan_out(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
@@ -75,6 +77,14 @@ class SharedBottomNet:
     ``shared_layers`` may be empty (features pass straight into the heads);
     each head is a list of layers whose last layer has width 1 and identity
     activation.
+
+    The net owns its parameters as flat float64 buffers: ``theta`` for the
+    trunk and ``phi[t]`` for head t. Each buffer holds its tensors ordered by
+    name as strings (``shared.<i>.bias`` before ``shared.<i>.weight``, and
+    ``shared.10.*`` before ``shared.2.*``), each row-major, as described by
+    ``theta_layout`` / ``phi_layouts[t]``. Every layer's ``weights`` and
+    ``bias`` are views into those buffers. The constructor copies the values
+    of the layers it is given, so a net never shares memory with them.
     """
 
     def __init__(
@@ -88,11 +98,14 @@ class SharedBottomNet:
         if not task_heads:
             raise ConfigError("at least one task head required")
         self.input_dim = int(input_dim)
-        self.shared_layers = shared_layers
-        self.task_heads = task_heads
+        self.theta, self.theta_layout, self.shared_layers, self._theta_slots = _own(
+            "shared", shared_layers
+        )
+        heads = [_own(f"task{t}", head) for t, head in enumerate(task_heads)]
+        self.phi, self.phi_layouts, self.task_heads, self._phi_slots = (
+            list(group) for group in zip(*heads)
+        )
         self._check_chaining()
-        self._theta_layout = self.get_theta().layout
-        self._phi_layouts = [self.get_phi(t).layout for t in range(self.num_tasks)]
 
     def _check_chaining(self) -> None:
         width = self.input_dim
@@ -125,44 +138,50 @@ class SharedBottomNet:
         """Width of the last shared layer (input_dim when the trunk is empty)."""
         return self.shared_layers[-1].fan_out if self.shared_layers else self.input_dim
 
-    def theta_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.shared_layers):
-            out[f"shared.{i}.weight"] = layer.weights
-            out[f"shared.{i}.bias"] = layer.bias
-        return out
-
-    def phi_tensors(self, task: int) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.task_heads[task]):
-            out[f"task{task}.{i}.weight"] = layer.weights
-            out[f"task{task}.{i}.bias"] = layer.bias
-        return out
-
     def get_theta(self) -> ParamVector:
-        return flatten_params(self.theta_tensors())
+        return ParamVector(self.theta.copy(), self.theta_layout)
 
     def get_phi(self, task: int) -> ParamVector:
-        return flatten_params(self.phi_tensors(task))
+        return ParamVector(self.phi[task].copy(), self.phi_layouts[task])
 
     def set_theta(self, values: np.ndarray) -> None:
-        tensors = unflatten_params(np.asarray(values, dtype=np.float64), self._theta_layout)
-        live = self.theta_tensors()
-        for name, arr in tensors.items():
-            live[name][...] = arr
+        self.theta[...] = ParamVector(values, self.theta_layout).values
 
     def set_phi(self, task: int, values: np.ndarray) -> None:
-        tensors = unflatten_params(np.asarray(values, dtype=np.float64), self._phi_layouts[task])
-        live = self.phi_tensors(task)
-        for name, arr in tensors.items():
-            live[name][...] = arr
+        self.phi[task][...] = ParamVector(values, self.phi_layouts[task]).values
 
     def copy(self) -> "SharedBottomNet":
-        return SharedBottomNet(
-            self.input_dim,
-            [layer.copy() for layer in self.shared_layers],
-            [[layer.copy() for layer in head] for head in self.task_heads],
-        )
+        return SharedBottomNet(self.input_dim, self.shared_layers, self.task_heads)
+
+
+def _own(
+    prefix: str, layers: list[DenseLayer]
+) -> tuple[np.ndarray, tuple[LayoutEntry, ...], list[DenseLayer], list[tuple[slice, slice]]]:
+    """Copy ``layers`` into one flat buffer ordered by tensor name.
+
+    Returns the buffer, its layout, layers whose tensors are views into it,
+    and each layer's (weight, bias) slice of the buffer.
+    """
+    tensors: dict[str, np.ndarray] = {}
+    for i, layer in enumerate(layers):
+        tensors[f"{prefix}.{i}.weight"] = layer.weights
+        tensors[f"{prefix}.{i}.bias"] = layer.bias
+    layout: list[LayoutEntry] = []
+    where: dict[str, slice] = {}
+    offset = 0
+    for name in sorted(tensors):
+        layout.append(LayoutEntry(name, tensors[name].shape, offset))
+        where[name] = slice(offset, offset + layout[-1].size)
+        offset = where[name].stop
+    buffer = np.empty(offset)
+    slots, views = [], []
+    for i, layer in enumerate(layers):
+        w, b = where[f"{prefix}.{i}.weight"], where[f"{prefix}.{i}.bias"]
+        buffer[w], buffer[b] = layer.weights.ravel(), layer.bias
+        slots.append((w, b))
+        weights = buffer[w].reshape(layer.weights.shape)
+        views.append(DenseLayer(weights, buffer[b], layer.activation))
+    return buffer, tuple(layout), views, slots
 
 
 @dataclass
@@ -296,9 +315,10 @@ def backward_task(
 ) -> tuple[ParamVector, ParamVector]:
     """Analytic gradients of one task's mean BCE loss.
 
-    Returns (grad over shared trunk, grad over that task's head), flattened
-    in the same layout as ``get_theta`` / ``get_phi``. Gradients of the other
-    heads are identically zero and are not materialized.
+    Returns (grad over shared trunk, grad over that task's head), each
+    written straight into a flat vector in the net's ``theta_layout`` /
+    ``phi_layouts[task_id]``. Gradients of the other heads are identically
+    zero and are not materialized.
     """
     if not 0 <= task_id < net.num_tasks:
         raise DimensionError(f"task_id {task_id} out of range")
@@ -321,31 +341,36 @@ def backward_task(
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
     delta = (expit(z_out) - y[:, None]) / n
 
-    phi_grads: dict[str, np.ndarray] = {}
+    grad_phi = np.empty(net.phi[task_id].size)
     for i in range(len(head) - 1, -1, -1):
         a_prev = acts[i - 1] if i > 0 else cache.trunk_act[-1]
-        phi_grads[f"task{task_id}.{i}.weight"] = a_prev.T @ delta
-        phi_grads[f"task{task_id}.{i}.bias"] = delta.sum(axis=0)
+        w, b = net._phi_slots[task_id][i]
+        grad_phi[w] = (a_prev.T @ delta).ravel()
+        grad_phi[b] = delta.sum(axis=0)
         upstream = delta @ head[i].weights.T
         if i > 0:
             delta = upstream * _activation_deriv(head[i - 1].activation, pres[i - 1])
         else:
             delta = upstream  # gradient w.r.t. the trunk output
 
-    theta_grads: dict[str, np.ndarray] = {}
+    grad_theta = np.empty(net.theta.size)
     trunk = net.shared_layers
     if trunk:
         delta = delta * _activation_deriv(trunk[-1].activation, cache.trunk_pre[-1])
         for i in range(len(trunk) - 1, -1, -1):
             a_prev = cache.trunk_act[i]
-            theta_grads[f"shared.{i}.weight"] = a_prev.T @ delta
-            theta_grads[f"shared.{i}.bias"] = delta.sum(axis=0)
+            w, b = net._theta_slots[i]
+            grad_theta[w] = (a_prev.T @ delta).ravel()
+            grad_theta[b] = delta.sum(axis=0)
             if i > 0:
                 upstream = delta @ trunk[i].weights.T
                 delta = upstream * _activation_deriv(
                     trunk[i - 1].activation, cache.trunk_pre[i - 1]
                 )
-    return flatten_params(theta_grads), flatten_params(phi_grads)
+    return (
+        ParamVector(grad_theta, net.theta_layout),
+        ParamVector(grad_phi, net.phi_layouts[task_id]),
+    )
 
 
 def theta_loss_fn(
@@ -386,13 +411,12 @@ def theta_grad_fn(
 
 def save_net(net: SharedBottomNet, path: str | Path) -> None:
     """Serialize architecture, parameter layouts and values as JSON."""
-    theta = net.get_theta()
     payload = {
         "format": "cograd-checkpoint-v1",
         "input_dim": net.input_dim,
         "num_tasks": net.num_tasks,
         "theta_layout": [
-            {"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in theta.layout
+            {"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in net.theta_layout
         ],
         "shared": [
             {

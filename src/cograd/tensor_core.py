@@ -1,18 +1,18 @@
 """Flat parameter vectors and finite-difference oracles.
 
 Everything downstream (gradient surgery, transference estimates, optimizer
-steps) works on 1-D float64 vectors. This module provides the flatten /
-unflatten round trip between named tensor sets and such vectors, plus the
-central-difference oracles used to validate analytic gradients and
-Hessian-vector products.
+steps) works on 1-D float64 vectors. This module provides the layout that
+names the tensors inside such a vector, plus the central-difference oracles
+used to validate analytic gradients and Hessian-vector products.
 
 Dense tensors are plain float64 numpy arrays in C (row-major) order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -31,17 +31,18 @@ class LayoutEntry:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 @dataclass
 class ParamVector:
-    """Flat float64 view of a named tensor set.
+    """Flat float64 vector of a named tensor set.
 
     ``values`` holds the row-major concatenation of the tensors listed in
-    ``layout``; entries are contiguous, non-overlapping and ordered
-    lexicographically by tensor name, so the same tensor set always flattens
-    to the same vector.
+    ``layout``; entries are contiguous and non-overlapping. The layout is
+    decided by the net that owns the parameters (``SharedBottomNet``), which
+    orders tensors by name; construction only checks that the layout covers
+    exactly the vector's length.
     """
 
     values: np.ndarray
@@ -62,61 +63,6 @@ class ParamVector:
         if dtype is None:
             return self.values
         return self.values.astype(dtype)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-
-def flatten_params(
-    params: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
-) -> ParamVector:
-    """Flatten named tensors into one vector, ordered by tensor name.
-
-    Accepts a mapping or an iterable of (name, array) pairs. Raises
-    LayoutError on a duplicate name so that the layout stays unambiguous.
-    """
-    items = list(params.items()) if isinstance(params, Mapping) else list(params)
-    seen: set[str] = set()
-    for name, _ in items:
-        if name in seen:
-            raise LayoutError(f"duplicate tensor name: {name!r}")
-        seen.add(name)
-    items.sort(key=lambda kv: kv[0])
-
-    entries: list[LayoutEntry] = []
-    chunks: list[np.ndarray] = []
-    offset = 0
-    for name, tensor in items:
-        arr = np.asarray(tensor, dtype=np.float64)
-        entries.append(LayoutEntry(name=name, shape=arr.shape, offset=offset))
-        chunks.append(arr.ravel(order="C"))
-        offset += arr.size
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return ParamVector(values=values, layout=tuple(entries))
-
-
-def unflatten_params(vector: ParamVector | np.ndarray, layout=None) -> dict[str, np.ndarray]:
-    """Rebuild the named tensor set from a flat vector.
-
-    The layout comes either from the ParamVector itself or from the explicit
-    ``layout`` argument when a bare array is passed.
-    """
-    if isinstance(vector, ParamVector):
-        values, entries = vector.values, vector.layout
-    else:
-        if layout is None:
-            raise LayoutError("layout required when unflattening a bare array")
-        values = np.asarray(vector, dtype=np.float64).ravel()
-        entries = tuple(layout)
-    total = sum(e.size for e in entries)
-    if total != values.size:
-        raise LayoutError(f"layout covers {total} values but vector has {values.size}")
-    out: dict[str, np.ndarray] = {}
-    for entry in entries:
-        chunk = values[entry.offset : entry.offset + entry.size]
-        out[entry.name] = chunk.reshape(entry.shape).copy()
-    return out
-
 
 def finite_diff_gradient(
     loss_fn: Callable[[np.ndarray], float],

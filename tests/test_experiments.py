@@ -1,4 +1,6 @@
 import json
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from cograd import (
     ConfigError,
+    ProbeConfig,
+    TrainConfig,
     build_dataset,
     config_to_dict,
     generate_synthetic,
@@ -116,8 +120,17 @@ def test_error_paths_name_offending_field(tmp_path):
         ("seeds", ["a"]),
         ("strategies", 5),
         ("validate.checkpoints", 3),
+        ("model.seed", 1.5),
+        ("train.steps", 2.5),
+        ("train.batch_size", 40.5),
+        ("train.loss_weights", ["a", 1]),
+        ("train.loss_weights", "ab"),
+        ("train.shuffle", "no"),
+        ("probe.max_iters", "x"),
+        ("probe.grad_tol", [1e-6]),
+        ("probe.tasks", [0]),
     ]:
-        raw = with_field(base_config(validate={}), field, value)
+        raw = with_field(base_config(validate={}, probe={}), field, value)
         with pytest.raises(ConfigError, match=field):
             resolve_config(raw, tmp_path)
 
@@ -136,6 +149,20 @@ _TYPED_FIELDS = (
     "seeds",
     "strategies",
     "validate.checkpoints",
+    "train.steps",
+    "train.batch_size",
+    "train.learning_rate",
+    "train.loss_weights",
+    "train.eval_every",
+    "train.optimizer",
+    "train.shuffle",
+    "train.transference_every",
+    "probe.grad_tol",
+    "probe.max_iters",
+    "probe.n_bins",
+    "probe.bin_halfwidth",
+    "probe.band",
+    "probe.tasks",
 )
 
 _JSON_VALUES = st.recursive(
@@ -146,14 +173,35 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+def has_declared_type(value, hint):
+    """Whether ``value`` is of the annotated type ``hint``, checked exactly."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(has_declared_type(value, arm) for arm in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(has_declared_type(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(has_declared_type, value, args))
+    return type(value) is hint
+
+
+@settings(max_examples=600, deadline=None)
 @given(field=st.sampled_from(_TYPED_FIELDS), value=_JSON_VALUES)
 def test_any_json_value_in_typed_field_resolves_or_config_error(tmp_path_factory, field, value):
-    raw = with_field(base_config(validate={}), field, value)
+    raw = with_field(base_config(validate={}, probe={}), field, value)
     try:
-        resolve_config(raw, tmp_path_factory.getbasetemp())
+        cfg = resolve_config(raw, tmp_path_factory.getbasetemp())
     except ConfigError:
-        pass
+        return
+    # What resolves has the types TrainConfig and ProbeConfig declare.
+    train_hints = typing.get_type_hints(TrainConfig)
+    for key, resolved in cfg.train_kwargs.items():
+        assert has_declared_type(resolved, train_hints[key]), (key, resolved)
+    for key, hint in typing.get_type_hints(ProbeConfig).items():
+        resolved = getattr(cfg.probe, key)
+        assert has_declared_type(resolved, hint), (key, resolved)
 
 
 def test_exactly_one_data_source(tmp_path):

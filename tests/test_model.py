@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from cograd import (
     ConfigError,
     DataError,
     DenseLayer,
     DimensionError,
+    LayoutError,
     SharedBottomNet,
     backward_task,
     finite_diff_gradient,
-    flatten_params,
     forward,
     init_net,
     load_net,
@@ -257,5 +260,93 @@ def test_head_must_end_in_single_identity_logit():
 
 
 def test_phi_grad_layout_matches_phi():
-    pv = flatten_params({"task0.0.weight": np.zeros((8, 4)), "task0.0.bias": np.zeros(4)})
-    assert pv.layout[0].name == "task0.0.bias"
+    net = small_net(1)
+    x, y = batch(5, 8, seed=9)
+    logits, cache = forward(net, x)
+    _, grad_phi = backward_task(net, cache, y, 1)
+    assert grad_phi.layout == net.get_phi(1).layout == net.phi_layouts[1]
+    names = [e.name for e in grad_phi.layout]
+    assert names == ["task1.0.bias", "task1.0.weight", "task1.1.bias", "task1.1.weight"]
+    # The output bias gradient, mean(sigmoid(z) - y), sits at its named slot.
+    out_bias = grad_phi.layout[2]
+    assert grad_phi.values[out_bias.offset] == pytest.approx(np.mean(expit(logits[:, 1]) - y))
+
+
+def test_layout_sorts_names_as_strings_with_contiguous_offsets():
+    net = init_net(4, [3] * 11, [2], num_tasks=2, seed=0)
+    names = [e.name for e in net.theta_layout]
+    order = sorted(range(11), key=str)  # 0, 1, 10, 2, ..., 9
+    assert names == [f"shared.{i}.{part}" for i in order for part in ("bias", "weight")]
+    assert names.index("shared.10.bias") < names.index("shared.2.bias")
+    for layout, buffer in [(net.theta_layout, net.theta)] + list(zip(net.phi_layouts, net.phi)):
+        offset = 0
+        for entry in layout:
+            assert entry.offset == offset
+            offset += entry.size
+        assert offset == buffer.size
+    assert net.theta_layout[0].shape == (3,) and net.theta_layout[1].shape == (4, 3)
+
+
+def test_layer_tensors_are_views_into_the_flat_buffers():
+    net = init_net(4, [3] * 11, [2], num_tasks=2, seed=0)
+    for layer in net.shared_layers:
+        assert np.shares_memory(layer.weights, net.theta)
+        assert np.shares_memory(layer.bias, net.theta)
+    for t, head in enumerate(net.task_heads):
+        for layer in head:
+            assert np.shares_memory(layer.weights, net.phi[t])
+            assert np.shares_memory(layer.bias, net.phi[t])
+            assert not np.shares_memory(layer.weights, net.phi[1 - t])
+    # Each named slot of the buffer holds that layer's tensor, row-major.
+    for entry in net.theta_layout:
+        _, i, part = entry.name.split(".")
+        layer = net.shared_layers[int(i)]
+        tensor = layer.weights if part == "weight" else layer.bias
+        assert np.array_equal(net.theta[entry.offset : entry.offset + entry.size], tensor.ravel())
+    net.set_theta(np.zeros(net.theta.size))
+    assert all(not layer.weights.any() for layer in net.shared_layers)
+    net = small_net(3)
+    x = batch(3, 8)[0]
+    before = forward(net, x)[0]
+    net.set_theta(np.ones(net.theta.size))
+    assert not np.array_equal(forward(net, x)[0], before)
+    with pytest.raises(LayoutError):
+        net.set_theta(np.zeros(net.theta.size + 1))
+    with pytest.raises(LayoutError):
+        net.set_phi(0, np.zeros(1))
+
+
+def test_get_theta_returns_a_copy():
+    net = small_net(2)
+    theta, phi = net.get_theta().values, net.get_phi(0).values
+    saved = net.theta.copy(), net.phi[0].copy()
+    theta += 1.0
+    phi += 1.0
+    assert np.array_equal(net.theta, saved[0])
+    assert np.array_equal(net.phi[0], saved[1])
+
+
+def test_net_does_not_alias_caller_layers():
+    trunk = [DenseLayer(np.ones((2, 3)), np.zeros(3), "relu")]
+    head = [DenseLayer(np.ones((3, 1)), np.zeros(1), "identity")]
+    net = SharedBottomNet(2, trunk, [head])
+    for layer in net.shared_layers + net.task_heads[0]:
+        for theirs in trunk + head:
+            assert not np.shares_memory(layer.weights, theirs.weights)
+            assert not np.shares_memory(layer.bias, theirs.bias)
+    net.set_theta(np.full(net.theta.size, 5.0))
+    net.set_phi(0, np.full(net.phi[0].size, 5.0))
+    assert np.array_equal(trunk[0].weights, np.ones((2, 3)))
+    assert np.array_equal(head[0].weights, np.ones((3, 1)))
+
+
+def test_checkpoint_theta_layout_is_the_nets(tmp_path):
+    net = init_net(4, [3] * 11, [2], num_tasks=2, seed=1)
+    path = tmp_path / "ckpt.json"
+    save_net(net, path)
+    saved = json.loads(path.read_text(encoding="utf-8"))["theta_layout"]
+    expected = [
+        {"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in net.theta_layout
+    ]
+    assert saved == expected
+    assert load_net(path).theta_layout == net.theta_layout

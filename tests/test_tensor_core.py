@@ -3,63 +3,23 @@ import pytest
 
 from cograd import (
     DimensionError,
+    LayoutEntry,
     LayoutError,
     OracleError,
     ParamVector,
     finite_diff_gradient,
     finite_diff_hvp,
-    flatten_params,
     hvp_default_eps,
-    unflatten_params,
 )
 
 
-def test_flatten_orders_by_name_row_major():
-    pv = flatten_params({"b": np.array([5.0]), "W": np.array([[1.0, 2.0], [3.0, 4.0]])})
-    assert pv.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert [e.name for e in pv.layout] == ["W", "b"]
-    assert pv.layout[0].shape == (2, 2) and pv.layout[0].offset == 0
-    assert pv.layout[1].shape == (1,) and pv.layout[1].offset == 4
-
-
-def test_flatten_empty_set():
-    pv = flatten_params({})
-    assert len(pv) == 0
-    assert pv.layout == ()
-
-
-def test_flatten_duplicate_name_rejected():
-    with pytest.raises(LayoutError):
-        flatten_params([("w", np.zeros(2)), ("w", np.ones(2))])
-
-
-def test_unflatten_flatten_round_trip_bitwise():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        params = {
-            "layer.weight": rng.standard_normal((3, 4)),
-            "layer.bias": rng.standard_normal(4),
-            "out": rng.standard_normal((4, 1)),
-        }
-        rebuilt = unflatten_params(flatten_params(params))
-        for name, arr in params.items():
-            assert np.array_equal(rebuilt[name], arr)
-
-
-def test_flatten_unflatten_identity_on_flat_vector():
-    rng = np.random.default_rng(3)
-    layout = flatten_params({"a": np.zeros((2, 3)), "b": np.zeros(4)}).layout
-    for _ in range(10):
-        v = rng.standard_normal(10)
-        assert np.array_equal(
-            flatten_params(unflatten_params(v, layout)).values, v
-        )
-
-
 def test_param_vector_rejects_mismatched_layout():
-    layout = flatten_params({"a": np.zeros(3)}).layout
+    layout = (LayoutEntry("a", (3,), 0),)
     with pytest.raises(LayoutError):
         ParamVector(np.zeros(5), layout)
+    layout = (LayoutEntry("W", (2, 2), 0), LayoutEntry("b", (), 4))
+    assert [e.size for e in layout] == [4, 1]
+    assert len(ParamVector(np.zeros(5), layout)) == 5
 
 
 def test_fd_gradient_quadratic_exact():
@@ -145,5 +105,6 @@ def test_hvp_default_eps_is_scale_aware():
 
 
 def test_param_vector_asarray_view():
-    pv = flatten_params({"x": np.array([1.0, 2.0])})
+    pv = ParamVector(np.array([1.0, 2.0]), (LayoutEntry("x", (2,), 0),))
     assert np.asarray(pv).tolist() == [1.0, 2.0]
+    assert np.asarray(pv) is pv.values

@@ -69,7 +69,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_validate_approx(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = run_validate_approx(cfg, jobs=args.jobs)
+    report = run_validate_approx(cfg)
     print(f"wrote {report}")
     return 0
 
@@ -98,28 +98,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cograd",
         description="Multi-task training with transference-driven gradient coordination.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
-    common.add_argument("--output-dir", default=None, help="override the output directory")
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-dir", default=None, help="override the output directory")
+    config = argparse.ArgumentParser(add_help=False, parents=[output])
+    config.add_argument("config", help="experiment config JSON")
+    config.add_argument(
         "--seed-offset", type=int, default=0, help="added to every configured seed"
     )
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", parents=[common], help="run a multi-strategy study")
-    p_train.add_argument("config", help="experiment config JSON")
+    p_train = sub.add_parser("train", parents=[config, jobs], help="run a multi-strategy study")
     p_train.set_defaults(func=_cmd_train)
 
     p_val = sub.add_parser(
         "validate-approx",
-        parents=[common],
+        parents=[config],
         help="compare the curvature surrogate against finite-difference oracles",
     )
-    p_val.add_argument("config", help="experiment config JSON")
     p_val.set_defaults(func=_cmd_validate_approx)
 
     p_probe = sub.add_parser(
-        "probe", parents=[common], help="probe trunk-unit importance balance"
+        "probe", parents=[output], help="probe trunk-unit importance balance"
     )
     p_probe.add_argument("checkpoint", help="checkpoint JSON from a training run")
     p_probe.add_argument("data", help="dataset CSV or experiment config JSON")
@@ -131,9 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.set_defaults(func=_cmd_probe)
 
     p_cap = sub.add_parser(
-        "capacity-sweep", parents=[common], help="compare base vs doubled trunk width"
+        "capacity-sweep", parents=[config, jobs], help="compare base vs doubled trunk width"
     )
-    p_cap.add_argument("config", help="experiment config JSON")
     p_cap.set_defaults(func=_cmd_capacity_sweep)
     return parser
 

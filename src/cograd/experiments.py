@@ -39,11 +39,11 @@ from .model import (
     init_net,
     load_net,
     save_net,
-    task_loss,
     theta_grad_fn,
     theta_loss_fn,
 )
 from .tasks_data import (
+    DatasetSplits,
     MultiTaskDataset,
     SyntheticTaskConfig,
     generate_synthetic,
@@ -62,19 +62,14 @@ from .trainer import (
 
 _REQUIRED = object()
 
-def _get(section: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
-    if key in section:
-        return section[key]
-    if default is _REQUIRED:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return default
-
 
 def _read(
     section: dict, key: str, path: str, convert: Callable[[Any], Any], default: Any = _REQUIRED
 ) -> Any:
-    """``_get`` through ``convert``; a value of the wrong type names its field."""
-    value = _get(section, key, path, default)
+    """``section[key]`` (or ``default``) through ``convert``; errors name the field."""
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"{path}.{key}: required field missing")
+    value = section.get(key, default)
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -113,8 +108,18 @@ def _loss_weights(value: Any) -> tuple[float, ...] | str | None:
     return value if value is None or value == "prior" else _floats(value)
 
 
-# Converters of the fields of the train and probe sections; an absent field
-# keeps the TrainConfig / ProbeConfig default.
+# The keys of each dataclass-backed section and their converters; an absent
+# key keeps the dataclass's default.
+_SYNTHETIC_FIELDS = {
+    "n_samples": _int,
+    "n_features": _int,
+    "task_angle_deg": float,
+    "positive_rates": _floats,
+    "label_noise": float,
+    "seed": _int,
+}
+_MODEL_FIELDS = {"shared_widths": _ints, "head_widths": _ints, "seed": _int}
+_STRATEGY_FIELDS = {"kind": str, "gammas": _floats, "lambda": float, "relax": float}
 _TRAIN_FIELDS = {
     "steps": _int,
     "batch_size": _int,
@@ -133,6 +138,8 @@ _PROBE_FIELDS = {
     "band": float,
     "tasks": _ints,
 }
+# A key names the field it fills, except where a key is a Python keyword.
+_FIELD_OF_KEY = {"lambda": "lam"}
 
 
 def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -143,12 +150,35 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
 
 
-def _read_present(section: dict, fields: dict[str, Callable[[Any], Any]], path: str) -> dict:
-    """The fields present in ``section``, each read through its converter."""
-    _reject_unknown(section, tuple(fields), path)
-    return {
-        key: _read(section, key, path, convert) for key, convert in fields.items() if key in section
+def _section(
+    raw: dict, path: str, cls: type, fields: dict[str, Callable[[Any], Any]], **given: Any
+) -> Any:
+    """Resolve config section ``raw`` straight into dataclass ``cls``.
+
+    Each present key is read through its converter; an absent key keeps
+    ``cls``'s default, and ``given`` fills the fields no key names. Every
+    error, the dataclass's own included, names ``<path>.<field>``.
+    """
+    _reject_unknown(raw, tuple(fields), path)
+    required = {
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     }
+    for key, convert in fields.items():
+        name = _FIELD_OF_KEY.get(key, key)
+        if key in raw or name in required:
+            given[name] = _read(raw, key, path, convert)
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
+def _echo(resolved: Any, fields: dict[str, Callable[[Any], Any]]) -> dict:
+    """The fields of a resolved section under their config keys."""
+    values = {key: getattr(resolved, _FIELD_OF_KEY.get(key, key)) for key in fields}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -164,20 +194,45 @@ class DataConfig:
 class ModelConfig:
     shared_widths: tuple[int, ...]
     head_widths: tuple[int, ...]
-    seed: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("shared_widths", "head_widths"):
+            widths = getattr(self, name)
+            if not widths or any(w <= 0 for w in widths):
+                raise ConfigError(f"{name} must be non-empty positive widths")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataConfig
     model: ModelConfig
-    train_kwargs: dict
+    train: TrainConfig  # the settings of every run; each run sets strategy and seed
     strategies: tuple[StrategyConfig, ...]
-    strategy_labels: tuple[str, ...]
     seeds: tuple[int, ...]
     output_dir: Path
     validate_checkpoints: tuple[int, ...]
     probe: ProbeConfig
+
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ConfigError("seeds: at least one seed required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds: duplicate seeds would overwrite each other's outputs")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds: must be non-negative, got {min(self.seeds)}")
+
+    @property
+    def strategy_labels(self) -> tuple[str, ...]:
+        """Strategy kinds, with repeats suffixed ``_2``, ``_3``, ..."""
+        labels = []
+        seen: dict[str, int] = {}
+        for s in self.strategies:
+            seen[s.kind] = seen.get(s.kind, 0) + 1
+            labels.append(s.kind if seen[s.kind] == 1 else f"{s.kind}_{seen[s.kind]}")
+        return tuple(labels)
 
 
 def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
@@ -188,74 +243,20 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
     if ("synthetic" in raw) == ("csv" in raw):
         raise ConfigError("data: exactly one of 'synthetic' or 'csv' is required")
     if "synthetic" in raw:
-        section = raw["synthetic"]
-        _reject_unknown(
-            section,
-            ("n_samples", "n_features", "task_angle_deg", "positive_rates", "label_noise", "seed"),
-            "data.synthetic",
+        synthetic = _section(
+            raw["synthetic"], "data.synthetic", SyntheticTaskConfig, _SYNTHETIC_FIELDS
         )
-        fields = dict(
-            n_samples=_read(section, "n_samples", "data.synthetic", _int),
-            n_features=_read(section, "n_features", "data.synthetic", _int),
-            task_angle_deg=_read(section, "task_angle_deg", "data.synthetic", float),
-            positive_rates=_read(section, "positive_rates", "data.synthetic", _floats),
-            label_noise=_read(section, "label_noise", "data.synthetic", float, 0.0),
-            seed=_read(section, "seed", "data.synthetic", _int, 0),
-        )
-        try:
-            cfg = SyntheticTaskConfig(**fields)
-        except ConfigError as exc:
-            raise ConfigError(f"data.synthetic: {exc}") from None
-        return DataConfig(cfg, None, False, len(cfg.positive_rates), proportions)
+        return DataConfig(synthetic, None, False, len(synthetic.positive_rates), proportions)
     section = raw["csv"]
     _reject_unknown(section, ("path", "n_tasks", "has_group_column"), "data.csv")
-    path = _read(section, "path", "data.csv", Path)
-    if not path.is_absolute():
-        path = base_dir / path
+    path = base_dir / _read(section, "path", "data.csv", Path)  # an absolute path stays
     if not path.exists():
         raise ConfigError(f"data.csv.path: file not found: {path}")
     n_tasks = _read(section, "n_tasks", "data.csv", _int)
     if n_tasks < 1:
         raise ConfigError("data.csv.n_tasks: must be at least 1")
-    return DataConfig(
-        None, path, bool(_get(section, "has_group_column", "data.csv", False)), n_tasks, proportions
-    )
-
-
-def _resolve_model(raw: dict) -> ModelConfig:
-    _reject_unknown(raw, ("shared_widths", "head_widths", "seed"), "model")
-    shared = _read(raw, "shared_widths", "model", _ints)
-    heads = _read(raw, "head_widths", "model", _ints)
-    if not shared or any(w <= 0 for w in shared):
-        raise ConfigError("model.shared_widths: must be non-empty positive widths")
-    if not heads or any(w <= 0 for w in heads):
-        raise ConfigError("model.head_widths: must be non-empty positive widths")
-    return ModelConfig(shared, heads, _read(raw, "seed", "model", _int, 0))
-
-
-def _resolve_strategy(raw: dict, index: int) -> StrategyConfig:
-    path = f"strategies[{index}]"
-    _reject_unknown(raw, ("kind", "gammas", "lambda", "relax"), path)
-    # Absent keys keep StrategyConfig's own defaults.
-    fields = {"gammas": ("gammas", _floats), "lambda": ("lam", float), "relax": ("relax", float)}
-    kwargs = {
-        name: _read(raw, key, path, convert)
-        for key, (name, convert) in fields.items()
-        if key in raw
-    }
-    try:
-        return StrategyConfig(kind=_get(raw, "kind", path), **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _strategy_labels(strategies: tuple[StrategyConfig, ...]) -> tuple[str, ...]:
-    labels = []
-    seen: dict[str, int] = {}
-    for s in strategies:
-        seen[s.kind] = seen.get(s.kind, 0) + 1
-        labels.append(s.kind if seen[s.kind] == 1 else f"{s.kind}_{seen[s.kind]}")
-    return tuple(labels)
+    has_group = _read(section, "has_group_column", "data.csv", _bool, False)
+    return DataConfig(None, path, has_group, n_tasks, proportions)
 
 
 def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
@@ -272,35 +273,19 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             raise ConfigError(f"{key}: required section missing")
 
     data = _resolve_data(raw["data"], base_dir)
-    model = _resolve_model(raw["model"])
-
-    train_kwargs = _read_present(raw["train"], _TRAIN_FIELDS, "train")
-
-    raw_strategies = _read(raw, "strategies", "config", list)
-    strategies = tuple(_resolve_strategy(s, i) for i, s in enumerate(raw_strategies))
+    strategies = tuple(
+        _section(s, f"strategies[{i}]", StrategyConfig, _STRATEGY_FIELDS)
+        for i, s in enumerate(_read(raw, "strategies", "config", _items))
+    )
     if not strategies:
         raise ConfigError("strategies: at least one strategy required")
-    seeds = _read(raw, "seeds", "config", _ints)
-    if not seeds:
-        raise ConfigError("seeds: at least one seed required")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: duplicate seeds would overwrite each other's outputs")
-
-    # Validate training fields and strategy/task compatibility up front, so
-    # bad configs fail before any run starts.
-    try:
-        TrainConfig(strategy=strategies[0], seed=0, **train_kwargs)
-    except (ConfigError, TypeError) as exc:
-        raise ConfigError(f"train: {exc}") from None
+    # Strategy/task compatibility is checked up front, so bad configs fail
+    # before any run starts.
     for i, s in enumerate(strategies):
         try:
             s.check_tasks(data.n_tasks)
         except ConfigError as exc:
-            raise ConfigError(f"strategies[{i}]: {exc}") from None
-
-    output_dir = Path(raw["output_dir"])
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
+            raise ConfigError(f"strategies[{i}].{exc}") from None
 
     checkpoints: tuple[int, ...] = ()
     if "validate" in raw:
@@ -309,20 +294,15 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if any(c < 0 for c in checkpoints):
             raise ConfigError("validate.checkpoints: steps must be non-negative")
 
-    probe = ProbeConfig(**_read_present(raw.get("probe", {}), _PROBE_FIELDS, "probe"))
-    if len(probe.tasks) != 2:
-        raise ConfigError("probe.tasks: expected two task indices")
-
     return ExperimentConfig(
         data=data,
-        model=model,
-        train_kwargs=train_kwargs,
+        model=_section(raw["model"], "model", ModelConfig, _MODEL_FIELDS),
+        train=_section(raw["train"], "train", TrainConfig, _TRAIN_FIELDS, strategy=strategies[0]),
         strategies=strategies,
-        strategy_labels=_strategy_labels(strategies),
-        seeds=seeds,
-        output_dir=output_dir,
+        seeds=_read(raw, "seeds", "config", _ints),
+        output_dir=base_dir / _read(raw, "output_dir", "config", Path),  # an absolute path stays
         validate_checkpoints=checkpoints,
-        probe=probe,
+        probe=_section(raw.get("probe", {}), "probe", ProbeConfig, _PROBE_FIELDS),
     )
 
 
@@ -340,8 +320,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical dict echo of a resolved config (embedded in summaries)."""
     if cfg.data.synthetic is not None:
-        data: dict[str, Any] = {"synthetic": dataclasses.asdict(cfg.data.synthetic)}
-        data["synthetic"]["positive_rates"] = list(cfg.data.synthetic.positive_rates)
+        data: dict[str, Any] = {"synthetic": _echo(cfg.data.synthetic, _SYNTHETIC_FIELDS)}
     else:
         data = {
             "csv": {
@@ -351,25 +330,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             }
         }
     data["split"] = list(cfg.data.split)
-    strategies = []
-    for s in cfg.strategies:
-        strategies.append(
-            {
-                "kind": s.kind,
-                "gammas": list(s.gammas),
-                "lambda": s.lam,
-                "relax": s.relax,
-            }
-        )
     return {
         "data": data,
-        "model": {
-            "shared_widths": list(cfg.model.shared_widths),
-            "head_widths": list(cfg.model.head_widths),
-            "seed": cfg.model.seed,
-        },
-        "train": dict(cfg.train_kwargs),
-        "strategies": strategies,
+        "model": _echo(cfg.model, _MODEL_FIELDS),
+        "train": _echo(cfg.train, _TRAIN_FIELDS),
+        "strategies": [_echo(s, _STRATEGY_FIELDS) for s in cfg.strategies],
         "seeds": list(cfg.seeds),
         "output_dir": str(cfg.output_dir),
     }
@@ -395,6 +360,22 @@ class RunResult:
     run_dir: Path | None
 
 
+def _cell(
+    cfg: ExperimentConfig, strategy_idx: int, seed: int
+) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
+    """The splits, initial net and training settings of one (strategy, seed) cell."""
+    ds = build_dataset(cfg.data, seed)
+    net = init_net(
+        input_dim=ds.n_features,
+        shared_widths=list(cfg.model.shared_widths),
+        head_widths=list(cfg.model.head_widths),
+        num_tasks=ds.n_tasks,
+        seed=cfg.model.seed + seed,
+    )
+    train_cfg = dataclasses.replace(cfg.train, strategy=cfg.strategies[strategy_idx], seed=seed)
+    return split(ds, cfg.data.split), net, train_cfg
+
+
 def run_one(
     cfg: ExperimentConfig,
     strategy_idx: int,
@@ -403,17 +384,8 @@ def run_one(
 ) -> RunResult:
     """Train one (strategy, seed) cell and write its artifacts."""
     label = cfg.strategy_labels[strategy_idx]
-    ds = build_dataset(cfg.data, seed)
-    splits = split(ds, cfg.data.split)
-    net = init_net(
-        input_dim=ds.n_features,
-        shared_widths=list(cfg.model.shared_widths),
-        head_widths=list(cfg.model.head_widths),
-        num_tasks=ds.n_tasks,
-        seed=cfg.model.seed + seed,
-    )
-    theta_params = len(net.get_theta())
-    train_cfg = TrainConfig(strategy=cfg.strategies[strategy_idx], seed=seed, **cfg.train_kwargs)
+    splits, net, train_cfg = _cell(cfg, strategy_idx, seed)
+    theta_params = net.theta.size
     started = time.perf_counter()
     try:
         net, log = train(net, splits, train_cfg)
@@ -519,7 +491,7 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
     return tuple(sorted(marks))
 
 
-def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
+def run_validate_approx(cfg: ExperimentConfig) -> Path:
     """Compare the squared-gradient curvature surrogate against true HVPs.
 
     Runs a short training with the first configured strategy and seed,
@@ -528,20 +500,9 @@ def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
     HVP and the surrogate, plus the exact-vs-first-order transference gap at
     gamma and gamma/2. Returns the report path.
     """
-    del jobs  # single short run; kept for interface symmetry
-    steps = int(cfg.train_kwargs.get("steps", 0))
-    checkpoints = cfg.validate_checkpoints or _default_checkpoints(steps)
-    seed = cfg.seeds[0]
-    ds = build_dataset(cfg.data, seed)
-    splits = split(ds, cfg.data.split)
-    net = init_net(
-        input_dim=ds.n_features,
-        shared_widths=list(cfg.model.shared_widths),
-        head_widths=list(cfg.model.head_widths),
-        num_tasks=ds.n_tasks,
-        seed=cfg.model.seed + seed,
-    )
-    theta_size = len(net.get_theta())
+    checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
+    splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
+    theta_size = net.theta.size
     if theta_size > EXACT_HVP_PARAM_BUDGET:
         raise ConfigError(
             f"model.shared_widths: {theta_size} shared parameters exceed the "
@@ -557,14 +518,12 @@ def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
         if step in wanted:
             snapshots[step] = live_net.copy()
 
-    strategy = cfg.strategies[0]
-    train_cfg = TrainConfig(strategy=strategy, seed=seed, **cfg.train_kwargs)
     train(net, splits, train_cfg, step_callback=capture)
 
-    gammas = strategy.probe_gammas(ds.n_tasks)
-    probe_batch = splits.train.take(
-        np.arange(min(int(cfg.train_kwargs["batch_size"]), splits.train.n_rows))
-    )
+    n_tasks = net.num_tasks
+    strategy = train_cfg.strategy
+    gammas = strategy.probe_gammas(n_tasks)
+    probe_batch = splits.train.take(np.arange(min(train_cfg.batch_size, splits.train.n_rows)))
     x, y = probe_batch.features, probe_batch.labels
 
     rows = []
@@ -573,11 +532,11 @@ def run_validate_approx(cfg: ExperimentConfig, jobs: int = 1) -> Path:
         theta = snap.get_theta().values
         logits, cache = forward(snap, x)
         del logits
-        grads = [backward_task(snap, cache, y[:, t], t)[0].values for t in range(ds.n_tasks)]
-        grad_fns = [theta_grad_fn(snap, x, y[:, t], t) for t in range(ds.n_tasks)]
-        loss_fns = [theta_loss_fn(snap, x, y[:, t], t) for t in range(ds.n_tasks)]
-        for i in range(ds.n_tasks):
-            for j in range(ds.n_tasks):
+        grads = [backward_task(snap, cache, y[:, t], t)[0].values for t in range(n_tasks)]
+        grad_fns = [theta_grad_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
+        loss_fns = [theta_loss_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
+        for i in range(n_tasks):
+            for j in range(n_tasks):
                 if i == j:
                     continue
                 fd = finite_diff_hvp(grad_fns[j], theta, grads[i])

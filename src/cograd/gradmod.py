@@ -76,7 +76,7 @@ class StrategyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}")
+            raise ConfigError(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if any(g < 0 for g in self.gammas):
             raise ConfigError("gammas must be non-negative")
         if self.lam <= 0:
@@ -87,7 +87,7 @@ class StrategyConfig:
     def check_tasks(self, num_tasks: int) -> None:
         if self.kind in ("cograd", "cograd_exact_hvp") and len(self.gammas) != num_tasks:
             raise ConfigError(
-                f"strategy {self.kind!r} needs one gamma per task "
+                f"gammas: strategy {self.kind!r} needs one gamma per task "
                 f"({num_tasks}), got {len(self.gammas)}"
             )
 

@@ -63,9 +63,9 @@ class MultiTaskDataset:
     def n_tasks(self) -> int:
         return self.labels.shape[1]
 
-    def take(self, indices: np.ndarray) -> "MultiTaskDataset":
-        """Row subset in the given order."""
-        idx = np.asarray(indices)
+    def take(self, indices: np.ndarray | slice) -> "MultiTaskDataset":
+        """Row subset in the given order; a slice gives views of this dataset's rows."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         groups = self.group_ids[idx] if self.group_ids is not None else None
         return MultiTaskDataset(self.features[idx], self.labels[idx], groups)
 
@@ -102,6 +102,8 @@ class SyntheticTaskConfig:
             raise ConfigError("positive_rates must lie strictly in (0, 1)")
         if not 0.0 <= self.label_noise < 0.5:
             raise ConfigError("label_noise must lie in [0, 0.5)")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def _task_weights(cfg: SyntheticTaskConfig) -> np.ndarray:
@@ -263,7 +265,8 @@ def split(ds: MultiTaskDataset, proportions: tuple[float, float, float]) -> Data
 
     Train and val sizes are floors of their shares; the remainder goes to
     test. Exact rational arithmetic keeps e.g. 600 at 4:1:1 from landing on
-    399 through float rounding.
+    399 through float rounding. The parts are views of ``ds``'s rows, so a
+    split copies nothing.
     """
     if len(proportions) != 3:
         raise ConfigError("proportions must be [train, val, test]")
@@ -276,11 +279,10 @@ def split(ds: MultiTaskDataset, proportions: tuple[float, float, float]) -> Data
     n_test = n - n_train - n_val
     if n_train == 0 or n_val == 0 or n_test == 0:
         raise ConfigError(f"split of {n} rows at {tuple(proportions)} leaves an empty part")
-    idx = np.arange(n)
     return DatasetSplits(
-        ds.take(idx[:n_train]),
-        ds.take(idx[n_train : n_train + n_val]),
-        ds.take(idx[n_train + n_val :]),
+        ds.take(slice(0, n_train)),
+        ds.take(slice(n_train, n_train + n_val)),
+        ds.take(slice(n_train + n_val, n)),
     )
 
 

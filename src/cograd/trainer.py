@@ -17,6 +17,7 @@ deterministic given the config seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -117,8 +118,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}")
-        if self.eval_every < 0 or self.transference_every < 0:
-            raise ConfigError("eval_every and transference_every must be non-negative")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be non-negative")
+        if self.transference_every < 0:
+            raise ConfigError("transference_every must be non-negative")
         if isinstance(self.loss_weights, str) and self.loss_weights != "prior":
             raise ConfigError('loss_weights must be a tuple, "prior", or None')
         if isinstance(self.loss_weights, (tuple, list)):
@@ -371,6 +374,17 @@ class ProbeConfig:
     band: float = 0.01  # |difference| below this counts as general knowledge
     tasks: tuple[int, int] = (0, 1)
 
+    def __post_init__(self) -> None:
+        for name in ("grad_tol", "bin_halfwidth", "band"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if self.max_iters < 0:
+            raise ConfigError("max_iters must be non-negative")
+        if self.n_bins < 1:
+            raise ConfigError("n_bins must be at least 1")
+        if len(self.tasks) != 2 or self.tasks[0] == self.tasks[1] or min(self.tasks) < 0:
+            raise ConfigError("tasks must be two distinct non-negative task indices")
+
 
 @dataclass
 class ProbeResult:
@@ -437,7 +451,7 @@ def probe_harmonization(
     tasks use; mass in the tails is task-specific.
     """
     a, b = cfg.tasks
-    if ds.n_tasks < 2 or max(a, b) >= ds.n_tasks or a == b:
+    if max(a, b) >= ds.n_tasks:
         raise ConfigError(f"probe needs two distinct tasks within {ds.n_tasks}")
     activations = trunk_activations(net, ds.features)
 

@@ -106,6 +106,27 @@ def test_seed_offset(tmp_path):
     assert (tmp_path / "out" / "sum" / "7" / "summary.json").exists()
 
 
+def test_negative_seed_offset_exits_2(tmp_path, capsys):
+    config, _ = write_config(tmp_path)
+    assert main(["train", str(config), "--seed-offset", "-1"]) == 2
+    assert "seeds: must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-approx", "config.json", "--jobs", "2"],
+        ["probe", "checkpoint.json", "data.csv", "--jobs", "2"],
+        ["probe", "checkpoint.json", "data.csv", "--seed-offset", "1"],
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_use(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_parallel_jobs(tmp_path):
     config, _ = write_config(tmp_path, seeds=[0, 1])
     assert main(["train", str(config), "--jobs", "2"]) == 0
@@ -154,6 +175,15 @@ def test_probe_nonconvergence_exits_3(tmp_path, capsys):
     config.write_text(json.dumps(raw))
     assert main(["probe", str(ckpt), str(config)]) == 3
     assert "probe" in capsys.readouterr().err
+
+
+def test_probe_out_of_range_value_exits_2(tmp_path, capsys):
+    ckpt, _, config = probe_fixtures(tmp_path)
+    raw = json.loads(config.read_text())
+    raw["probe"] = {"n_bins": -3}
+    config.write_text(json.dumps(raw))
+    assert main(["probe", str(ckpt), str(config)]) == 2
+    assert "probe.n_bins must be at least 1" in capsys.readouterr().err
 
 
 def test_probe_bad_csv_exits_2(tmp_path, capsys):

@@ -129,10 +129,42 @@ def test_error_paths_name_offending_field(tmp_path):
         ("probe.max_iters", "x"),
         ("probe.grad_tol", [1e-6]),
         ("probe.tasks", [0]),
+        ("output_dir", 5),
+        ("output_dir", ["a"]),
+        ("strategies", {"kind": "sum"}),
+        # Seeds are non-negative.
+        ("seeds", [-1]),
+        ("model.seed", -5),
+        ("data.synthetic.seed", -5),
+        # Probe values out of range.
+        ("probe.grad_tol", 0.0),
+        ("probe.grad_tol", -1.0),
+        ("probe.max_iters", -1),
+        ("probe.n_bins", 0),
+        ("probe.n_bins", -3),
+        ("probe.bin_halfwidth", 0.0),
+        ("probe.band", -0.01),
+        ("probe.tasks", [1, 1]),
+        ("probe.tasks", [-1, 0]),
     ]:
         raw = with_field(base_config(validate={}, probe={}), field, value)
         with pytest.raises(ConfigError, match=field):
             resolve_config(raw, tmp_path)
+    # A CSV flag takes only true or false: the string "false" is not False.
+    (tmp_path / "data.csv").write_text("")
+    raw = base_config(
+        data={"csv": {"path": "data.csv", "n_tasks": 2, "has_group_column": "false"}}
+    )
+    with pytest.raises(ConfigError, match="data.csv.has_group_column"):
+        resolve_config(raw, tmp_path)
+
+
+@pytest.mark.parametrize("key", ["steps", "batch_size", "learning_rate"])
+def test_missing_required_train_field_is_named(tmp_path, key):
+    raw = base_config()
+    del raw["train"][key]
+    with pytest.raises(ConfigError, match=rf"^train\.{key}: required field missing$"):
+        resolve_config(raw, tmp_path)
 
 
 _TYPED_FIELDS = (
@@ -149,6 +181,7 @@ _TYPED_FIELDS = (
     "seeds",
     "strategies",
     "validate.checkpoints",
+    "output_dir",
     "train.steps",
     "train.batch_size",
     "train.learning_rate",
@@ -196,12 +229,10 @@ def test_any_json_value_in_typed_field_resolves_or_config_error(tmp_path_factory
     except ConfigError:
         return
     # What resolves has the types TrainConfig and ProbeConfig declare.
-    train_hints = typing.get_type_hints(TrainConfig)
-    for key, resolved in cfg.train_kwargs.items():
-        assert has_declared_type(resolved, train_hints[key]), (key, resolved)
-    for key, hint in typing.get_type_hints(ProbeConfig).items():
-        resolved = getattr(cfg.probe, key)
-        assert has_declared_type(resolved, hint), (key, resolved)
+    for section, cls in ((cfg.train, TrainConfig), (cfg.probe, ProbeConfig)):
+        for key, hint in typing.get_type_hints(cls).items():
+            resolved = getattr(section, key)
+            assert has_declared_type(resolved, hint), (key, resolved)
 
 
 def test_exactly_one_data_source(tmp_path):
@@ -229,7 +260,8 @@ def test_config_echo_round_trips(tmp_path):
     assert echoed.seeds == cfg.seeds
     assert echoed.data == cfg.data
     assert echoed.model == cfg.model
-    assert echoed.train_kwargs == cfg.train_kwargs
+    assert echoed.train == cfg.train
+    assert echoed == cfg
 
 
 def test_build_dataset_offsets_generator_seed(tmp_path):

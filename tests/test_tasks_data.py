@@ -167,6 +167,17 @@ def test_split_is_contiguous_partition():
     assert np.array_equal(stitched_labels, ds.labels)
 
 
+def test_split_parts_are_views_of_the_dataset():
+    ds = generate_synthetic(synth_cfg(n_samples=300))
+    ds = MultiTaskDataset(ds.features, ds.labels, np.arange(ds.n_rows) % 7)
+    parts = split(ds, (4, 1, 1))
+    for part in (parts.train, parts.val, parts.test):
+        assert np.shares_memory(part.features, ds.features)
+        assert np.shares_memory(part.labels, ds.labels)
+        assert np.shares_memory(part.group_ids, ds.group_ids)
+    assert np.array_equal(parts.test.group_ids, ds.group_ids[250:])
+
+
 def test_split_rejects_empty_part():
     ds = generate_synthetic(synth_cfg(n_samples=50))
     with pytest.raises(ConfigError):

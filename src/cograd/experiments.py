@@ -25,13 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .gradmod import (
-    EXACT_HVP_PARAM_BUDGET,
-    StrategyConfig,
-    approx_hvp,
-    transfer_exact,
-    transfer_first_order,
-)
+from .gradmod import StrategyConfig, approx_hvp, measure_transference
 from .model import (
     SharedBottomNet,
     backward_task,
@@ -100,8 +94,16 @@ def _ints(values: Any) -> tuple[int, ...]:
     return tuple(_int(v) for v in _items(values))
 
 
+def _float(value: Any) -> float:
+    """``float(value)``, refusing NaN and infinities."""
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _floats(values: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in _items(values))
+    return tuple(_float(v) for v in _items(values))
 
 
 def _loss_weights(value: Any) -> tuple[float, ...] | str | None:
@@ -113,17 +115,17 @@ def _loss_weights(value: Any) -> tuple[float, ...] | str | None:
 _SYNTHETIC_FIELDS = {
     "n_samples": _int,
     "n_features": _int,
-    "task_angle_deg": float,
+    "task_angle_deg": _float,
     "positive_rates": _floats,
-    "label_noise": float,
+    "label_noise": _float,
     "seed": _int,
 }
 _MODEL_FIELDS = {"shared_widths": _ints, "head_widths": _ints, "seed": _int}
-_STRATEGY_FIELDS = {"kind": str, "gammas": _floats, "lambda": float, "relax": float}
+_STRATEGY_FIELDS = {"kind": str, "gammas": _floats, "lambda": _float, "relax": _float}
 _TRAIN_FIELDS = {
     "steps": _int,
     "batch_size": _int,
-    "learning_rate": float,
+    "learning_rate": _float,
     "loss_weights": _loss_weights,
     "eval_every": _int,
     "optimizer": str,
@@ -131,11 +133,11 @@ _TRAIN_FIELDS = {
     "transference_every": _int,
 }
 _PROBE_FIELDS = {
-    "grad_tol": float,
+    "grad_tol": _float,
     "max_iters": _int,
     "n_bins": _int,
-    "bin_halfwidth": float,
-    "band": float,
+    "bin_halfwidth": _float,
+    "band": _float,
     "tasks": _ints,
 }
 # A key names the field it fills, except where a key is a Python keyword.
@@ -502,13 +504,6 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
-    theta_size = net.theta.size
-    if theta_size > EXACT_HVP_PARAM_BUDGET:
-        raise ConfigError(
-            f"model.shared_widths: {theta_size} shared parameters exceed the "
-            f"finite-difference budget of {EXACT_HVP_PARAM_BUDGET}"
-        )
-
     snapshots: dict[int, SharedBottomNet] = {}
     if 0 in checkpoints:
         snapshots[0] = net.copy()
@@ -523,45 +518,38 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     n_tasks = net.num_tasks
     strategy = train_cfg.strategy
     gammas = strategy.probe_gammas(n_tasks)
-    probe_batch = splits.train.take(np.arange(min(train_cfg.batch_size, splits.train.n_rows)))
+    halves = [g / 2.0 for g in gammas]
+    probe_batch = splits.train.take(slice(0, train_cfg.batch_size))
     x, y = probe_batch.features, probe_batch.labels
 
     rows = []
     for step in sorted(snapshots):
         snap = snapshots[step]
-        theta = snap.get_theta().values
-        logits, cache = forward(snap, x)
-        del logits
+        _, cache = forward(snap, x)
         grads = [backward_task(snap, cache, y[:, t], t)[0].values for t in range(n_tasks)]
         grad_fns = [theta_grad_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
         loss_fns = [theta_loss_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
-        for i in range(n_tasks):
-            for j in range(n_tasks):
-                if i == j:
-                    continue
-                fd = finite_diff_hvp(grad_fns[j], theta, grads[i])
-                ap = approx_hvp(grads[j], grads[i], strategy.lam)
-                fd_norm = float(np.linalg.norm(fd))
-                ap_norm = float(np.linalg.norm(ap))
-                cosine = (
-                    float(np.dot(fd, ap)) / (fd_norm * ap_norm)
-                    if fd_norm > 0 and ap_norm > 0
-                    else 0.0
-                )
-                ratio = ap_norm / fd_norm if fd_norm > 0 else float("nan")
-                gamma = gammas[i]
-                gap_full = abs(
-                    transfer_exact(loss_fns[j], theta, grads[i], gamma)
-                    - transfer_first_order(grads[i], grads[j], gamma)
-                )
-                gap_half = abs(
-                    transfer_exact(loss_fns[j], theta, grads[i], gamma / 2.0)
-                    - transfer_first_order(grads[i], grads[j], gamma / 2.0)
-                )
-                gap_ratio = gap_full / gap_half if gap_half > 0 else float("nan")
-                rows.append(
-                    [step, i, j, cosine, ratio, gamma, gap_full, gap_half, gap_ratio]
-                )
+        for full, half in zip(
+            measure_transference(step, snap.theta, grads, loss_fns, gammas),
+            measure_transference(step, snap.theta, grads, loss_fns, halves),
+        ):
+            i, j = full.source_task, full.target_task
+            fd = finite_diff_hvp(grad_fns[j], snap.theta, grads[i])
+            ap = approx_hvp(grads[j], grads[i], strategy.lam)
+            fd_norm = float(np.linalg.norm(fd))
+            ap_norm = float(np.linalg.norm(ap))
+            cosine = (
+                float(np.dot(fd, ap)) / (fd_norm * ap_norm)
+                if fd_norm > 0 and ap_norm > 0
+                else 0.0
+            )
+            ratio = ap_norm / fd_norm if fd_norm > 0 else float("nan")
+            gap_full = abs(full.exact_delta - full.first_order)
+            gap_half = abs(half.exact_delta - half.first_order)
+            gap_ratio = gap_full / gap_half if gap_half > 0 else float("nan")
+            rows.append(
+                [step, i, j, cosine, ratio, full.gamma_used, gap_full, gap_half, gap_ratio]
+            )
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.output_dir / "validate_approx.csv"

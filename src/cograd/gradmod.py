@@ -35,9 +35,6 @@ from .tensor_core import finite_diff_hvp
 
 STRATEGY_KINDS = ("sum", "cograd", "cograd_exact_hvp", "pcgrad", "magnitude_balance")
 
-# Exact-HVP cost grows as parameters x tasks^2 gradient evaluations per step.
-EXACT_HVP_PARAM_BUDGET = 10_000
-
 # Probes pair tasks at a gamma below typical learning rates when a strategy
 # carries no positive gamma of its own.
 _DEFAULT_PROBE_GAMMA = 0.1
@@ -211,18 +208,13 @@ def cograd_modify_exact_hvp(
     """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
 
     H_i g_j comes from central differences of task i's gradient function, so
-    the cost is two gradient evaluations per ordered task pair per step. The
-    shared-parameter count is capped to keep that tractable.
+    a step costs two gradient evaluations per ordered task pair, whatever the
+    trunk size.
     """
     cfg.check_tasks(len(grads))
     if len(grad_fns) != len(grads):
         raise DimensionError(f"{len(grads)} gradients but {len(grad_fns)} gradient functions")
     th = _values(theta)
-    if th.size > EXACT_HVP_PARAM_BUDGET:
-        raise ConfigError(
-            f"exact-HVP variant refused: {th.size} shared parameters exceed "
-            f"the budget of {EXACT_HVP_PARAM_BUDGET}"
-        )
     values = [_values(g) for g in grads]
     _check_equal_lengths(values)
     if len(grads) == 1 or all(g == 0.0 for g in cfg.gammas):

@@ -7,12 +7,13 @@ per-task trunk gradients can be extracted and modified independently of the
 head updates.
 
 The net owns its parameters as flat buffers, one for the trunk and one per
-head, and its layers' tensors are views into them. So the flat vectors the
-gradient strategies work on are read with one copy and written with one
-slice assignment.
+head, and its layers' tensors are views into them. Gradients come back as
+flat vectors in the same layouts, so an optimizer step updates a buffer as
+one vector.
 
-All tensors are float64. Forward and backward are pure given (net, batch);
-parameter mutation happens only through ``set_theta`` / ``set_phi``.
+All tensors are float64. Forward and backward are pure given (net, batch).
+The trainer writes its updates into ``theta`` and ``phi[t]`` in place;
+``set_theta`` / ``set_phi`` write a whole vector after checking its length.
 """
 
 from __future__ import annotations

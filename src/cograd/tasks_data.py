@@ -63,11 +63,10 @@ class MultiTaskDataset:
     def n_tasks(self) -> int:
         return self.labels.shape[1]
 
-    def take(self, indices: np.ndarray | slice) -> "MultiTaskDataset":
-        """Row subset in the given order; a slice gives views of this dataset's rows."""
-        idx = indices if isinstance(indices, slice) else np.asarray(indices)
-        groups = self.group_ids[idx] if self.group_ids is not None else None
-        return MultiTaskDataset(self.features[idx], self.labels[idx], groups)
+    def take(self, rows: slice) -> "MultiTaskDataset":
+        """The rows in ``rows``, as views of this dataset's rows."""
+        groups = self.group_ids[rows] if self.group_ids is not None else None
+        return MultiTaskDataset(self.features[rows], self.labels[rows], groups)
 
 
 @dataclass(frozen=True)
@@ -286,21 +285,20 @@ def split(ds: MultiTaskDataset, proportions: tuple[float, float, float]) -> Data
     )
 
 
-def batches(
-    ds: MultiTaskDataset, batch_size: int, shuffle_seed: int | None = None
-) -> list[MultiTaskDataset]:
-    """One epoch of row batches; every row appears exactly once.
+def batches(n_rows: int, batch_size: int, shuffle_seed: int | None = None) -> list[np.ndarray]:
+    """One epoch of row-index batches over ``n_rows`` rows; every row appears once.
 
     With a shuffle seed the epoch uses one fixed seeded permutation; without
-    it, row order. The final short batch is kept.
+    it, row order. Each batch is a slice of that order, and the final short
+    batch is kept. Callers index their already-validated arrays with them.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
     if shuffle_seed is None:
-        order = np.arange(ds.n_rows)
+        order = np.arange(n_rows)
     else:
-        order = np.random.default_rng(shuffle_seed).permutation(ds.n_rows)
-    return [ds.take(order[lo : lo + batch_size]) for lo in range(0, ds.n_rows, batch_size)]
+        order = np.random.default_rng(shuffle_seed).permutation(n_rows)
+    return [order[lo : lo + batch_size] for lo in range(0, n_rows, batch_size)]
 
 
 def select_tasks(ds: MultiTaskDataset, task_ids: list[int]) -> MultiTaskDataset:

@@ -218,41 +218,36 @@ def train(
     Evaluates ranking metrics on the validation split every ``eval_every``
     steps. ``step_callback(step, net)`` fires after each trunk update, for
     checkpoint capture. Aborts with the step index if any loss, gradient or
-    optimizer moment goes non-finite. The net is trained in place and also
-    returned.
+    optimizer moment goes non-finite. Batches are row indices into the
+    train split, and each update is written into the net's own parameter
+    buffers; the net is also returned.
     """
-    num_tasks = net.num_tasks
-    if splits.train.n_tasks != num_tasks:
-        raise ConfigError(f"net has {num_tasks} heads, data has {splits.train.n_tasks} tasks")
+    num_tasks, data, lr = net.num_tasks, splits.train, cfg.learning_rate
+    if data.n_tasks != num_tasks:
+        raise ConfigError(f"net has {num_tasks} heads, data has {data.n_tasks} tasks")
     cfg.strategy.check_tasks(num_tasks)
-    weights = _resolve_weights(cfg, splits.train)
+    weights = _resolve_weights(cfg, data)
     log = MetricsLog(num_tasks=num_tasks)
 
-    theta_size = len(net.get_theta())
     use_adam = cfg.optimizer == "adam"
-    theta_state = AdamState.zeros(theta_size) if use_adam else None
-    phi_states = [
-        AdamState.zeros(len(net.get_phi(t))) if use_adam else None for t in range(num_tasks)
-    ]
+    theta_state = AdamState.zeros(net.theta.size) if use_adam else None
+    phi_states = [AdamState.zeros(phi.size) if use_adam else None for phi in net.phi]
     moving_norms = np.zeros(num_tasks)
 
     step = 0
     epoch = 0
     while step < cfg.steps:
         shuffle_seed = cfg.seed * 1_000_003 + epoch if cfg.shuffle else None
-        for batch in batches(splits.train, cfg.batch_size, shuffle_seed):
+        for rows in batches(data.n_rows, cfg.batch_size, shuffle_seed):
             step += 1
-            x, y = batch.features, batch.labels
+            x, y = data.features[rows], data.labels[rows]
             try:
                 # Phase 1: head updates from each task's own weighted loss.
                 _, cache = forward(net, x)
                 for t in range(num_tasks):
                     _, grad_phi = backward_task(net, cache, y[:, t], t)
                     phi_grad = weights[t] * grad_phi.values
-                    new_phi = _optimizer_step(
-                        net.get_phi(t).values, phi_grad, phi_states[t], cfg.learning_rate, step
-                    )
-                    net.set_phi(t, new_phi)
+                    net.phi[t][...] = _optimizer_step(net.phi[t], phi_grad, phi_states[t], lr, step)
 
                 # Phase 2: per-task trunk gradients at the updated heads.
                 logits, cache = forward(net, x)
@@ -272,7 +267,7 @@ def train(
                 log.transference.extend(
                     measure_transference(
                         step,
-                        net.get_theta().values,
+                        net.theta,
                         raw_grads,
                         loss_fns,
                         cfg.strategy.probe_gammas(num_tasks),
@@ -287,17 +282,14 @@ def train(
                 cfg.strategy,
                 order_seed=cfg.seed * 1_000_003 + step,
                 grad_fns=grad_fns,
-                theta=net.get_theta().values,
+                theta=net.theta,
                 moving_norms=moving_norms,
             )
 
-            aggregate = np.zeros(theta_size)
+            aggregate = np.zeros(net.theta.size)
             for t in range(num_tasks):
                 aggregate += weights[t] * modified[t]
-            new_theta = _optimizer_step(
-                net.get_theta().values, aggregate, theta_state, cfg.learning_rate, step
-            )
-            net.set_theta(new_theta)
+            net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
 
             log.add_step(StepRecord(step=step, losses=tuple(losses), cosines=pairwise_cosine(raw_grads)))
             if cfg.eval_every and step % cfg.eval_every == 0:

@@ -185,8 +185,6 @@ def test_criterion_03_curvature_surrogate_validation(tmp_path, capsys):
                 "seed": 11,
             },
         },
-        # 8*16 + 16 + 16*8 + 8 = 288 shared parameters, within the
-        # finite-difference budget of 10,000.
         "model": {"shared_widths": [16, 8], "head_widths": [4], "seed": 100},
         "train": {
             "steps": 40,

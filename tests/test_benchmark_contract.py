@@ -2,17 +2,21 @@
 
 Runs one round of the ``study`` and ``grouped_csv`` workloads in-process
 through ``benchmark/workloads.py`` (build the workload, run its operations,
-check the round) and checks that rebinding ``cograd.experiments.train``
-intercepts ``run_one``, as the benchmark's step clock does. Nothing under
+check the round), one ``study`` round under the span tracer of the traced
+run, and checks that rebinding ``cograd.experiments.train`` intercepts
+``run_one``, as the benchmark's step clock does. Nothing under
 ``benchmark/`` is changed.
 """
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+import cograd
 from cograd import experiments, resolve_config, run_one, trainer
+from cograd.model import SharedBottomNet
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -37,6 +41,27 @@ def test_workload_round_succeeds_and_checks_pass(tmp_path, workloads, name, atte
     assert counts == [attempted, 0], ok
     sparse = workload.check_round(out, ok)  # raises CheckFailed on a wrong output
     assert sparse is not None and sparse > 0.5
+
+
+def test_traced_study_round_succeeds_and_counts_batches(tmp_path, workloads):
+    # Installed as benchmark/run.py installs it for a traced round.
+    from spans import Tracer
+
+    names = ("tensor_core", "model", "gradmod", "trainer", "tasks_data", "metrics", "experiments")
+    layers = [importlib.import_module(f"cograd.{m}") for m in names]
+    package = layers + [importlib.import_module("cograd.cli"), cograd]
+    workload = workloads.WORKLOADS["study"](1, tmp_path / "inputs")
+    out = tmp_path / "round"
+    tracer = Tracer()
+    tracer.install(layers, package, {"model": [SharedBottomNet]})
+    try:
+        ok = {op_name: op() for op_name, _, op in workload.operations(out)}
+    finally:
+        tracer.uninstall()
+    assert all(ok.values()), ok
+    assert workload.check_round(out, ok) > 0.5
+    assert tracer.batches_built > 0
+    assert tracer.summarize()["trainer.train"]["calls"] > 0
 
 
 def test_rebinding_experiments_train_intercepts_run_one(tmp_path, monkeypatch):

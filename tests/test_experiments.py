@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import math
 import types
 import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cograd import (
@@ -23,6 +25,9 @@ from cograd import (
     run_validate_approx,
     write_csv,
 )
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def base_config(**overrides):
@@ -52,11 +57,14 @@ def base_config(**overrides):
 
 
 def with_field(raw, field, value):
-    """Set the dotted config ``field`` of ``raw`` to ``value``; returns ``raw``."""
+    """Set the dotted config ``field`` of ``raw`` to ``value``; returns ``raw``.
+
+    A numeric part indexes a list: ``strategies.1.gammas``.
+    """
     *parents, key = field.split(".")
     section = raw
     for name in parents:
-        section = section[name]
+        section = section[int(name) if isinstance(section, list) else name]
     section[key] = value
     return raw
 
@@ -146,9 +154,18 @@ def test_error_paths_name_offending_field(tmp_path):
         ("probe.band", -0.01),
         ("probe.tasks", [1, 1]),
         ("probe.tasks", [-1, 0]),
+        # Numbers are finite.
+        ("data.split", [NAN, 1, 1]),
+        ("train.learning_rate", NAN),
+        ("train.learning_rate", INF),
+        ("train.loss_weights", [NAN, 1.0]),
     ]:
         raw = with_field(base_config(validate={}, probe={}), field, value)
         with pytest.raises(ConfigError, match=field):
+            resolve_config(raw, tmp_path)
+    for key, value in [("gammas", [NAN, 1.0]), ("lambda", NAN), ("lambda", INF)]:
+        raw = with_field(base_config(), f"strategies.1.{key}", value)
+        with pytest.raises(ConfigError, match=rf"strategies\[1\]\.{key}"):
             resolve_config(raw, tmp_path)
     # A CSV flag takes only true or false: the string "false" is not False.
     (tmp_path / "data.csv").write_text("")
@@ -180,6 +197,9 @@ _TYPED_FIELDS = (
     "data.synthetic.seed",
     "seeds",
     "strategies",
+    "strategies.1.gammas",
+    "strategies.1.lambda",
+    "strategies.1.relax",
     "validate.checkpoints",
     "output_dir",
     "train.steps",
@@ -222,6 +242,9 @@ def has_declared_type(value, hint):
 
 @settings(max_examples=600, deadline=None)
 @given(field=st.sampled_from(_TYPED_FIELDS), value=_JSON_VALUES)
+@example(field="train.learning_rate", value=INF)
+@example(field="strategies.1.lambda", value=NAN)
+@example(field="strategies.1.gammas", value=[NAN, 1.0])
 def test_any_json_value_in_typed_field_resolves_or_config_error(tmp_path_factory, field, value):
     raw = with_field(base_config(validate={}, probe={}), field, value)
     try:
@@ -233,6 +256,20 @@ def test_any_json_value_in_typed_field_resolves_or_config_error(tmp_path_factory
         for key, hint in typing.get_type_hints(cls).items():
             resolved = getattr(section, key)
             assert has_declared_type(resolved, hint), (key, resolved)
+    # And every number in it is finite.
+    assert all(math.isfinite(v) for v in resolved_floats(cfg)), field
+
+
+def resolved_floats(value):
+    """Every float inside a resolved config, through dataclasses and tuples."""
+    if isinstance(value, float):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from resolved_floats(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from resolved_floats(item)
 
 
 def test_exactly_one_data_source(tmp_path):
@@ -367,12 +404,15 @@ def test_validate_approx_default_checkpoints(tmp_path):
     assert steps == {0, 2, 4, 6, 8}
 
 
-def test_validate_approx_budget_guard(tmp_path):
+def test_validate_approx_runs_on_a_wide_trunk(tmp_path):
+    # 6*2000 + 2000 = 14,000 shared parameters: no size cap refuses the run.
     raw = base_config()
     raw["model"]["shared_widths"] = [2000]
-    cfg = resolve_config(raw, tmp_path)
-    with pytest.raises(ConfigError, match="budget"):
-        run_validate_approx(cfg)
+    raw["validate"] = {"checkpoints": [0, 2]}
+    report = run_validate_approx(resolve_config(raw, tmp_path))
+    lines = report.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2  # checkpoints x ordered pairs
+    assert all(-1.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[1:])
 
 
 def checkpoint_and_csv(tmp_path, angle=0.0, rates=(0.5, 0.5)):

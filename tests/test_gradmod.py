@@ -10,15 +10,19 @@ from cograd import (
     StrategyConfig,
     TransferenceRecord,
     approx_hvp,
+    backward_task,
     cograd_modify,
     cograd_modify_exact_hvp,
     finite_diff_gradient,
     finite_diff_hvp,
+    forward,
+    init_net,
     magnitude_balance,
     measure_transference,
     modify_gradients,
     pairwise_cosine,
     pcgrad_modify,
+    theta_grad_fn,
     transfer_exact,
     transfer_first_order,
 )
@@ -234,11 +238,24 @@ def test_cograd_exact_hvp_matches_surrogate_on_constructed_case():
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-6
 
 
-def test_cograd_exact_hvp_budget_refused():
-    n = 10_001
-    grads = [np.zeros(n), np.zeros(n)]
-    with pytest.raises(ConfigError, match="budget"):
-        cograd_modify_exact_hvp(grads, [lambda v: v] * 2, np.zeros(n), cfg(gammas=(0.1, 0.1)))
+def test_cograd_exact_hvp_on_a_wide_trunk_is_linear_in_gamma():
+    # 128*128 + 128 + 128*64 + 64 = 24,768 shared parameters: no size cap
+    # refuses the variant, and its correction scales with gamma.
+    rng = np.random.default_rng(8)
+    net = init_net(128, [128, 64], [4], 2, seed=3)
+    x = rng.standard_normal((64, 128))
+    y = (rng.uniform(size=(64, 2)) < 0.5).astype(float)
+    _, cache = forward(net, x)
+    grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(2)]
+    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(2)]
+    assert net.theta.size == 24_768
+    one, two = (
+        cograd_modify_exact_hvp(grads, grad_fns, net.theta, cfg(gammas=(g, 0.5 * g)))
+        for g in (0.1, 0.2)
+    )
+    for g, a, b in zip(grads, one, two):
+        assert np.linalg.norm(g - a) > 0.0
+        np.testing.assert_allclose(g - b, 2.0 * (g - a), rtol=1e-9, atol=1e-14)
 
 
 def test_pcgrad_hand_projection():

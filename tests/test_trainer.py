@@ -5,6 +5,7 @@ from cograd import (
     AdamState,
     ConfigError,
     DivergenceError,
+    MultiTaskDataset,
     ProbeConfig,
     ProbeError,
     STRATEGY_KINDS,
@@ -232,6 +233,23 @@ def test_head_update_isolated_from_other_task():
     net_b, _ = train(small_net(), split(ds_b, (38, 1, 1)), cfg)
     assert np.array_equal(net_a.get_phi(1).values, net_b.get_phi(1).values)
     assert not np.array_equal(net_a.get_phi(0).values, net_b.get_phi(0).values)
+
+
+def test_train_builds_no_dataset_per_batch(monkeypatch):
+    # Batches are row indices into the validated train split: a run with
+    # several epochs, a shuffle and periodic eval constructs no dataset.
+    splits = split(small_dataset(), (4, 1, 1))
+    built = []
+    original = MultiTaskDataset.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n_rows)
+        original(self)
+
+    monkeypatch.setattr(MultiTaskDataset, "__post_init__", counting_post_init)
+    _, log = train(small_net(), splits, small_config(steps=12, eval_every=4))
+    assert len(log.steps) == 12
+    assert built == []
 
 
 def test_eval_cadence():

@@ -6,8 +6,8 @@ Subcommands:
   probe <ckpt> <data>        knowledge-harmonization probe of a checkpoint
   capacity-sweep <config>    base vs doubled first-shared-width comparison
 
-Exit codes: 0 success, 2 invalid config or input, 3 runtime failure
-(divergence, probe non-convergence, degenerate numerics).
+Exit codes: 0 success, 2 on an ``InputError`` (invalid config, data or
+checkpoint), 3 on a ``RunError`` (a run failed on valid input).
 """
 
 from __future__ import annotations
@@ -17,18 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateGradientError,
-    DimensionError,
-    DivergenceError,
-    EvaluationError,
-    LayoutError,
-    OracleError,
-    ProbeError,
-    UndefinedMetricError,
-)
+from .errors import InputError, RunError
 from .experiments import (
     ExperimentConfig,
     load_config,
@@ -36,16 +25,6 @@ from .experiments import (
     run_probe,
     run_study,
     run_validate_approx,
-)
-
-_CONFIG_ERRORS = (ConfigError, LayoutError, DimensionError, DataError)
-_RUNTIME_ERRORS = (
-    DivergenceError,
-    ProbeError,
-    OracleError,
-    EvaluationError,
-    DegenerateGradientError,
-    UndefinedMetricError,
 )
 
 
@@ -142,12 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except (InputError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 def entry() -> None:

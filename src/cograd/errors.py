@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: configuration and validation problems
-(ConfigError, LayoutError, DimensionError, DataError, CsvParseError) map to
-exit 2; runtime failures during a run (DivergenceError, ProbeError,
-OracleError, EvaluationError, DegenerateGradientError) map to exit 3.
+Every package error is an ``InputError`` or a ``RunError``, and the CLI
+maps them to exit codes 2 and 3.
 """
 
 
@@ -11,19 +9,27 @@ class CogradError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(CogradError):
+class InputError(CogradError):
+    """Invalid config, data, checkpoint or operands; the CLI exits 2."""
+
+
+class RunError(CogradError):
+    """A run failed on valid input; the CLI exits 3."""
+
+
+class ConfigError(InputError):
     """Invalid configuration value; message names the offending field."""
 
 
-class LayoutError(CogradError):
+class LayoutError(InputError):
     """Inconsistent parameter layout (e.g. duplicate tensor name)."""
 
 
-class DimensionError(CogradError):
+class DimensionError(InputError):
     """Operands with incompatible shapes or lengths."""
 
 
-class DataError(CogradError):
+class DataError(InputError):
     """Invalid dataset content (labels, rates, brackets)."""
 
 
@@ -31,25 +37,25 @@ class CsvParseError(DataError):
     """Malformed CSV row; message names the 1-based line number."""
 
 
-class OracleError(CogradError):
+class OracleError(RunError):
     """A finite-difference oracle hit a non-finite evaluation."""
 
 
-class EvaluationError(CogradError):
+class EvaluationError(RunError):
     """A model or loss evaluation produced non-finite values."""
 
 
-class DegenerateGradientError(CogradError):
+class DegenerateGradientError(RunError):
     """A gradient-modification step requires a nonzero norm it did not get."""
 
 
-class UndefinedMetricError(CogradError):
+class UndefinedMetricError(RunError):
     """Metric undefined for the given labels (e.g. single-class AUC)."""
 
 
-class ProbeError(CogradError):
+class ProbeError(RunError):
     """The harmonization probe failed to converge."""
 
 
-class DivergenceError(CogradError):
+class DivergenceError(RunError):
     """Training produced a non-finite loss; message names the step."""

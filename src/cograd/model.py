@@ -65,13 +65,6 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    # ReLU subgradient at 0 is taken as 0.
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 class SharedBottomNet:
     """Trunk of shared dense layers plus one head per task.
 
@@ -109,22 +102,11 @@ class SharedBottomNet:
         self._check_chaining()
 
     def _check_chaining(self) -> None:
-        width = self.input_dim
-        for i, layer in enumerate(self.shared_layers):
-            if layer.fan_in != width:
-                raise ConfigError(f"shared layer {i} expects {layer.fan_in} inputs, got {width}")
-            width = layer.fan_out
-        trunk_out = width
+        trunk_out = _chain(self.shared_layers, self.input_dim, "shared")
         for t, head in enumerate(self.task_heads):
             if not head:
                 raise ConfigError(f"task {t} head has no layers")
-            width = trunk_out
-            for i, layer in enumerate(head):
-                if layer.fan_in != width:
-                    raise ConfigError(
-                        f"task {t} head layer {i} expects {layer.fan_in} inputs, got {width}"
-                    )
-                width = layer.fan_out
+            _chain(head, trunk_out, f"heads[{t}]")
             if head[-1].fan_out != 1:
                 raise ConfigError(f"task {t} head must end in a single logit")
             if head[-1].activation != "identity":
@@ -153,6 +135,15 @@ class SharedBottomNet:
 
     def copy(self) -> "SharedBottomNet":
         return SharedBottomNet(self.input_dim, self.shared_layers, self.task_heads)
+
+
+def _chain(layers: list[DenseLayer], width: int, name: str) -> int:
+    """Check that each layer takes the previous one's width; returns the output width."""
+    for i, layer in enumerate(layers):
+        if layer.fan_in != width:
+            raise ConfigError(f"{name}[{i}] expects {layer.fan_in} inputs, got {width}")
+        width = layer.fan_out
+    return width
 
 
 def _own(
@@ -217,65 +208,51 @@ def init_net(
 
     rng = np.random.default_rng(seed)
 
-    def make_layer(fan_in: int, fan_out: int, activation: str) -> DenseLayer:
-        limit = 1.0 / np.sqrt(fan_in)
-        weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return DenseLayer(weights, np.zeros(fan_out), activation)
-
-    shared: list[DenseLayer] = []
-    width = input_dim
-    for w in shared_widths:
-        shared.append(make_layer(width, w, "relu"))
-        width = w
-    trunk_out = width
-
-    heads: list[list[DenseLayer]] = []
-    for _ in range(num_tasks):
-        head: list[DenseLayer] = []
-        width = trunk_out
-        for w in head_widths:
-            head.append(make_layer(width, w, "relu"))
+    def make_stack(width: int, widths: list[int], output_activation: str) -> list[DenseLayer]:
+        stack = []
+        for i, w in enumerate(widths):
+            limit = 1.0 / np.sqrt(width)
+            weights = rng.uniform(-limit, limit, size=(width, w))
+            activation = output_activation if i == len(widths) - 1 else "relu"
+            stack.append(DenseLayer(weights, np.zeros(w), activation))
             width = w
-        head.append(make_layer(width, 1, "identity"))
-        heads.append(head)
+        return stack
+
+    shared = make_stack(input_dim, shared_widths, "relu")
+    heads = [make_stack(shared_widths[-1], [*head_widths, 1], "identity") for _ in range(num_tasks)]
     return SharedBottomNet(input_dim, shared, heads)
+
+
+def _features(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise DimensionError(f"features must be (n, {net.input_dim}), got {x.shape}")
+    return x
+
+
+def _stack_forward(
+    layers: list[DenseLayer], a: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run ``a`` through ``layers``: pre-activations, and activations led by ``a``."""
+    pres: list[np.ndarray] = []
+    acts: list[np.ndarray] = [a]
+    for layer in layers:
+        pres.append(a @ layer.weights + layer.bias)
+        a = _apply_activation(layer.activation, pres[-1])
+        acts.append(a)
+    return pres, acts
 
 
 def forward(net: SharedBottomNet, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch through the net; returns (n, T) logits and the cache."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise DimensionError(
-            f"features must be (n, {net.input_dim}), got {x.shape}"
-        )
-    trunk_pre: list[np.ndarray] = []
-    trunk_act: list[np.ndarray] = [x]
-    a = x
-    for layer in net.shared_layers:
-        z = a @ layer.weights + layer.bias
-        a = _apply_activation(layer.activation, z)
-        trunk_pre.append(z)
-        trunk_act.append(a)
-
-    n = x.shape[0]
-    logits = np.zeros((n, net.num_tasks))
-    head_pre: list[list[np.ndarray]] = []
-    head_act: list[list[np.ndarray]] = []
-    for t, head in enumerate(net.task_heads):
-        pres: list[np.ndarray] = []
-        acts: list[np.ndarray] = []
-        h = trunk_act[-1]
-        for layer in head:
-            z = h @ layer.weights + layer.bias
-            h = _apply_activation(layer.activation, z)
-            pres.append(z)
-            acts.append(h)
-        logits[:, t] = h[:, 0]
-        head_pre.append(pres)
-        head_act.append(acts)
+    x = _features(net, features)
+    trunk_pre, trunk_act = _stack_forward(net.shared_layers, x)
+    head_pre, head_act = zip(*(_stack_forward(head, trunk_act[-1]) for head in net.task_heads))
+    logits = np.concatenate([acts[-1] for acts in head_act], axis=1)
     if not np.all(np.isfinite(logits)):
         raise EvaluationError("forward produced non-finite logits")
-    return logits, ForwardCache(x, trunk_pre, trunk_act, head_pre, head_act)
+    head_act = [acts[1:] for acts in head_act]  # a head's input is trunk_act[-1]
+    return logits, ForwardCache(x, trunk_pre, trunk_act, list(head_pre), head_act)
 
 
 def predict_proba(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
@@ -286,13 +263,7 @@ def predict_proba(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
 
 def trunk_activations(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
     """Last shared-layer activations, shape (n, trunk_width); heads untouched."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise DimensionError(f"features must be (n, {net.input_dim}), got {x.shape}")
-    a = x
-    for layer in net.shared_layers:
-        a = _apply_activation(layer.activation, a @ layer.weights + layer.bias)
-    return a
+    return _stack_forward(net.shared_layers, _features(net, features))[1][-1]
 
 
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -306,6 +277,28 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     # max(z,0) - z*y + log(1 + exp(-|z|)) avoids overflow for large |z|.
     per_row = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     return float(np.mean(per_row))
+
+
+def _stack_backward(
+    layers: list[DenseLayer], pres: list[np.ndarray], inputs: list[np.ndarray],
+    grad_out: np.ndarray, slots: list[tuple[slice, slice]], grad: np.ndarray,
+) -> np.ndarray:
+    """Backpropagate ``grad_out``, the loss gradient at the stack's output.
+
+    Writes each layer's weight and bias gradient into ``grad`` at its slot,
+    given layer i's pre-activation ``pres[i]`` and input ``inputs[i]``, and
+    returns the gradient at the first layer's pre-activation.
+    """
+    delta = grad_out
+    for i in range(len(layers) - 1, -1, -1):
+        if layers[i].activation == "relu":  # the subgradient at 0 is taken as 0
+            delta = delta * (pres[i] > 0.0).astype(np.float64)
+        w, b = slots[i]
+        grad[w] = (inputs[i].T @ delta).ravel()
+        grad[b] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ layers[i].weights.T
+    return delta
 
 
 def backward_task(
@@ -332,42 +325,24 @@ def backward_task(
     if y.size != n:
         raise DimensionError(f"{y.size} labels for batch of {n}")
 
-    head = net.task_heads[task_id]
-    pres = cache.head_pre[task_id]
-    acts = cache.head_act[task_id]
-    z_out = pres[-1]
+    z_out = cache.head_pre[task_id][-1]
     if z_out.shape[0] != n:
         raise DimensionError("stale cache: batch size mismatch")
 
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
     delta = (expit(z_out) - y[:, None]) / n
-
+    head = net.task_heads[task_id]
+    inputs = [cache.trunk_act[-1], *cache.head_act[task_id]]
     grad_phi = np.empty(net.phi[task_id].size)
-    for i in range(len(head) - 1, -1, -1):
-        a_prev = acts[i - 1] if i > 0 else cache.trunk_act[-1]
-        w, b = net._phi_slots[task_id][i]
-        grad_phi[w] = (a_prev.T @ delta).ravel()
-        grad_phi[b] = delta.sum(axis=0)
-        upstream = delta @ head[i].weights.T
-        if i > 0:
-            delta = upstream * _activation_deriv(head[i - 1].activation, pres[i - 1])
-        else:
-            delta = upstream  # gradient w.r.t. the trunk output
-
+    delta = _stack_backward(
+        head, cache.head_pre[task_id], inputs, delta, net._phi_slots[task_id], grad_phi
+    )
     grad_theta = np.empty(net.theta.size)
-    trunk = net.shared_layers
-    if trunk:
-        delta = delta * _activation_deriv(trunk[-1].activation, cache.trunk_pre[-1])
-        for i in range(len(trunk) - 1, -1, -1):
-            a_prev = cache.trunk_act[i]
-            w, b = net._theta_slots[i]
-            grad_theta[w] = (a_prev.T @ delta).ravel()
-            grad_theta[b] = delta.sum(axis=0)
-            if i > 0:
-                upstream = delta @ trunk[i].weights.T
-                delta = upstream * _activation_deriv(
-                    trunk[i - 1].activation, cache.trunk_pre[i - 1]
-                )
+    if net.shared_layers:  # the head's input gradient is the trunk's output gradient
+        _stack_backward(
+            net.shared_layers, cache.trunk_pre, cache.trunk_act, delta @ head[0].weights.T,
+            net._theta_slots, grad_theta,
+        )
     return (
         ParamVector(grad_theta, net.theta_layout),
         ParamVector(grad_phi, net.phi_layouts[task_id]),
@@ -410,6 +385,14 @@ def theta_grad_fn(
     return fn
 
 
+def _layer_dict(layer: DenseLayer) -> dict:
+    return {
+        "weights": layer.weights.tolist(),
+        "bias": layer.bias.tolist(),
+        "activation": layer.activation,
+    }
+
+
 def save_net(net: SharedBottomNet, path: str | Path) -> None:
     """Serialize architecture, parameter layouts and values as JSON."""
     payload = {
@@ -419,31 +402,18 @@ def save_net(net: SharedBottomNet, path: str | Path) -> None:
         "theta_layout": [
             {"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in net.theta_layout
         ],
-        "shared": [
-            {
-                "weights": layer.weights.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in net.shared_layers
-        ],
-        "heads": [
-            [
-                {
-                    "weights": layer.weights.tolist(),
-                    "bias": layer.bias.tolist(),
-                    "activation": layer.activation,
-                }
-                for layer in head
-            ]
-            for head in net.task_heads
-        ],
+        "shared": [_layer_dict(layer) for layer in net.shared_layers],
+        "heads": [[_layer_dict(layer) for layer in head] for head in net.task_heads],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_net(path: str | Path) -> SharedBottomNet:
-    """Rebuild a network from ``save_net`` output."""
+    """Rebuild a network from ``save_net`` output.
+
+    Refuses non-finite weights or biases and an ``input_dim`` that is not a
+    positive integer; errors name the path and a layer as ``shared[i]`` or ``heads[t][i]``.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -455,18 +425,31 @@ def load_net(path: str | Path) -> SharedBottomNet:
     if not isinstance(payload, dict) or payload.get("format") != "cograd-checkpoint-v1":
         raise ConfigError(f"unrecognized checkpoint format in {path}")
 
-    def make(layer: dict) -> DenseLayer:
-        return DenseLayer(
-            np.array(layer["weights"], dtype=np.float64),
-            np.array(layer["bias"], dtype=np.float64),
-            layer["activation"],
-        )
+    def make(layer: dict, name: str) -> DenseLayer:
+        try:
+            made = DenseLayer(layer["weights"], layer["bias"], layer["activation"])
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint {path}: {name} is missing key {exc.args[0]!r}") from None
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint {path}: {name}: {exc}") from None
+        if not (np.all(np.isfinite(made.weights)) and np.all(np.isfinite(made.bias))):
+            raise ConfigError(f"checkpoint {path}: {name} has a non-finite weight or bias")
+        return made
 
     try:
-        shared = [make(layer) for layer in payload["shared"]]
-        heads = [[make(layer) for layer in head] for head in payload["heads"]]
-        return SharedBottomNet(payload["input_dim"], shared, heads)
+        shared = [make(layer, f"shared[{i}]") for i, layer in enumerate(payload["shared"])]
+        heads = [
+            [make(layer, f"heads[{t}][{i}]") for i, layer in enumerate(head)]
+            for t, head in enumerate(payload["heads"])
+        ]
+        input_dim = payload["input_dim"]
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"malformed checkpoint {path}: {exc}") from None
+    if isinstance(input_dim, bool) or not isinstance(input_dim, int) or input_dim <= 0:
+        raise ConfigError(f"checkpoint {path}: input_dim must be a positive integer")
+    try:
+        return SharedBottomNet(input_dim, shared, heads)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None

@@ -37,6 +37,7 @@ from .model import (
     SharedBottomNet,
     backward_task,
     forward,
+    predict_proba,
     task_loss,
     theta_grad_fn,
     theta_loss_fn,
@@ -195,8 +196,7 @@ def _optimizer_step(params, grad, state: AdamState | None, eta: float, step: int
 
 def evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset) -> EvalRecord:
     """Ranking metric of every task on one split: GAUC when it has groups, else AUC."""
-    logits, _ = forward(net, ds.features)
-    scores = expit(logits)
+    scores = predict_proba(net, ds.features)
     metric = "gauc" if ds.group_ids is not None else "auc"
     values = []
     for t in range(ds.n_tasks):

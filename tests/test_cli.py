@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cograd import build_dataset, resolve_config, run_one, write_csv
+from cograd import build_dataset, errors, resolve_config, run_one, write_csv
 from cograd.cli import main
 
 
@@ -212,6 +212,50 @@ def test_probe_corrupt_checkpoint_exits_2(tmp_path, capsys):
     mangled.write_text("{not json", encoding="utf-8")
     assert main(["probe", str(mangled), str(csv_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _nan_first_weight(ckpt):
+    ckpt["shared"][0]["weights"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "mangle, named",
+    [
+        (_nan_first_weight, "shared[0]"),
+        (lambda ckpt: ckpt.update(input_dim=6.5), "input_dim"),
+        (lambda ckpt: ckpt.update(input_dim=True), "input_dim"),
+        (lambda ckpt: ckpt["shared"][0]["bias"].pop(), "shared[0]"),
+        (lambda ckpt: ckpt["heads"][1][0]["bias"].pop(), "heads[1][0]"),
+        (lambda ckpt: ckpt["heads"][0][1]["weights"].pop(), "heads[0][1]"),
+    ],
+    ids=[
+        "nan_weight",
+        "fractional_input_dim",
+        "bool_input_dim",
+        "short_bias",
+        "short_head_bias",
+        "mismatched_fan_in",
+    ],
+)
+def test_probe_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, mangle, named):
+    ckpt, csv_path, _ = probe_fixtures(tmp_path)
+    payload = json.loads(ckpt.read_text())
+    mangle(payload)
+    ckpt.write_text(json.dumps(payload))
+    assert main(["probe", str(ckpt), str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and named in err
+
+
+def test_every_error_is_an_input_or_run_error():
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj is not errors.CogradError
+    ]
+    assert errors.UndefinedMetricError in classes
+    for cls in classes:
+        assert issubclass(cls, (errors.InputError, errors.RunError)), cls.__name__
+        assert not issubclass(cls, errors.InputError) or not issubclass(cls, errors.RunError)
 
 
 def test_probe_checkpoint_missing_key_exits_2(tmp_path, capsys):

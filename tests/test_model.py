@@ -95,8 +95,13 @@ def test_forward_zero_net_gives_half_probabilities():
 def test_forward_single_linear_layer():
     layer = DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1), "identity")
     net = SharedBottomNet(2, [], [[layer]])
-    logits, _ = forward(net, np.array([[2.0, 3.0]]))
+    logits, cache = forward(net, np.array([[2.0, 3.0]]))
     assert logits[0, 0] == pytest.approx(5.0)
+    grad_theta, grad_phi = backward_task(net, cache, np.array([1.0]), 0)
+    assert len(grad_theta) == 0
+    # dL/dz = sigmoid(5) - 1; phi is ordered bias, then weights (2, 3).
+    delta = expit(5.0) - 1.0
+    assert np.allclose(grad_phi.values, [delta, 2.0 * delta, 3.0 * delta], rtol=1e-15, atol=0)
 
 
 def test_forward_rejects_wrong_width():
@@ -143,10 +148,29 @@ def test_task_loss_rejects_non_binary_labels():
         task_loss(np.zeros(2), np.array([0.0, 2.0]))
 
 
+def deep_net(seed):
+    # A [8, 6, 4] trunk with [4, 3] heads. At init scale most rows of a net
+    # this deep sit on a relu kink, and some hidden layers are dead on every
+    # row. So weights are tripled, and each hidden bias is set so that its
+    # unit's median pre-activation on a reference batch is zero.
+    net = init_net(8, [8, 6, 4], [4, 3], 2, seed=seed)
+    for buffer in [net.theta, *net.phi]:
+        buffer *= 3.0
+    x = np.random.default_rng(seed).standard_normal((256, 8))
+    for i, layer in enumerate(net.shared_layers):
+        layer.bias[...] -= np.median(forward(net, x)[1].trunk_pre[i], axis=0)
+    for t, head in enumerate(net.task_heads):
+        for i, layer in enumerate(head[:-1]):
+            layer.bias[...] -= np.median(forward(net, x)[1].head_pre[t][i], axis=0)
+    return net
+
+
 def test_backward_matches_fd_on_theta_and_phi_10_seeds():
-    # Relative error < 1e-4 at eps=1e-3 against central differences.
-    for seed in range(10):
-        net = init_net(8, [16, 8], [4], 2, seed=seed)
+    # Relative error < 1e-4 at eps=1e-3 against central differences, on a
+    # one-hidden-layer head and on a deeper trunk with two-hidden-layer heads.
+    nets = [init_net(8, [16, 8], [4], 2, seed=seed) for seed in range(10)]
+    nets += [deep_net(seed) for seed in range(10)]
+    for seed, net in enumerate(nets):
         x, y = kink_free_batch(net, 16, seed=100 + seed)
         _, cache = forward(net, x)
         for t in range(2):

@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .gradmod import StrategyConfig, approx_hvp, measure_transference
+from .gradmod import StrategyConfig, approx_hvp, measure_transference, pairwise_cosine
 from .model import (
     SharedBottomNet,
     backward_task,
@@ -43,6 +43,7 @@ from .tasks_data import (
     generate_synthetic,
     load_csv,
     split,
+    write_table,
 )
 from .tensor_core import finite_diff_hvp
 from .trainer import (
@@ -429,23 +430,16 @@ def run_one(
     )
 
 
-def _run_cell(args: tuple) -> RunResult:
-    cfg, strategy_idx, seed, output_root = args
-    return run_one(cfg, strategy_idx, seed, output_root)
-
-
-def _execute_runs(
-    cfg: ExperimentConfig, output_root: Path, jobs: int = 1
-) -> list[RunResult]:
+def _execute_runs(cfg: ExperimentConfig, jobs: int) -> list[RunResult]:
     cells = [
-        (cfg, si, seed, output_root)
+        (cfg, si, seed, cfg.output_dir)
         for si in range(len(cfg.strategies))
         for seed in cfg.seeds
     ]
     if jobs <= 1:
-        return [_run_cell(cell) for cell in cells]
+        return [run_one(*cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, cells))
+        return list(pool.map(run_one, *zip(*cells)))
 
 
 def _write_comparison(
@@ -465,23 +459,23 @@ def _write_comparison(
     header = ["strategy", "n_seeds", "metric"]
     for t in range(n_tasks):
         header += [f"task{t}_mean", f"task{t}_std", f"task{t}_delta_vs_{baseline}"]
-    lines = [",".join(header)]
+    rows = []
     for label in labels:
-        row = [label, str(len(by_label[label])), metric]
+        row = [label, len(by_label[label]), metric]
         for t in range(n_tasks):
             row += [
                 f"{means[label][t]:.6f}",
                 f"{stds[label][t]:.6f}",
                 f"{means[label][t] - means[baseline][t]:.6f}",
             ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append(row)
+    write_table(path, header, rows)
 
 
 def run_study(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """All (strategy x seed) runs plus the top-level comparison table."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    results = _execute_runs(cfg, cfg.output_dir, jobs)
+    results = _execute_runs(cfg, jobs)
     _write_comparison(
         results, cfg.strategy_labels, cfg.data.n_tasks, cfg.output_dir / "comparison.csv"
     )
@@ -537,13 +531,8 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
             fd = finite_diff_hvp(grad_fns[j], snap.theta, grads[i])
             ap = approx_hvp(grads[j], grads[i], strategy.lam)
             fd_norm = float(np.linalg.norm(fd))
-            ap_norm = float(np.linalg.norm(ap))
-            cosine = (
-                float(np.dot(fd, ap)) / (fd_norm * ap_norm)
-                if fd_norm > 0 and ap_norm > 0
-                else 0.0
-            )
-            ratio = ap_norm / fd_norm if fd_norm > 0 else float("nan")
+            cosine = pairwise_cosine([fd, ap])[0, 1]
+            ratio = float(np.linalg.norm(ap)) / fd_norm if fd_norm > 0 else float("nan")
             gap_full = abs(full.exact_delta - full.first_order)
             gap_half = abs(half.exact_delta - half.first_order)
             gap_ratio = gap_full / gap_half if gap_half > 0 else float("nan")
@@ -553,19 +542,9 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.output_dir / "validate_approx.csv"
-    header = (
-        "step,source_task,target_task,hvp_cosine,hvp_norm_ratio,"
-        "gamma,gap_at_gamma,gap_at_half_gamma,gap_ratio"
-    )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [str(row[0]), str(row[1]), str(row[2])]
-                + [repr(float(v)) for v in row[3:]]
-            )
-        )
-    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["step", "source_task", "target_task", "hvp_cosine", "hvp_norm_ratio"]
+    header += ["gamma", "gap_at_gamma", "gap_at_half_gamma", "gap_ratio"]
+    write_table(report, header, rows)
     return report
 
 
@@ -597,10 +576,7 @@ def run_probe(
 
     output_dir.mkdir(parents=True, exist_ok=True)
     hist_path = output_dir / "probe_histogram.csv"
-    lines = ["bin_center,count"]
-    for center, count in zip(result.bin_centers, result.counts):
-        lines.append(f"{repr(float(center))},{int(count)}")
-    hist_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(hist_path, ["bin_center", "count"], zip(result.bin_centers, result.counts))
 
     summary_path = output_dir / "probe_summary.json"
     summary = {
@@ -622,40 +598,36 @@ def run_capacity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> Path:
     mean final test metrics across seeds and the doubled-minus-base deltas.
     """
     widths = cfg.model.shared_widths
-    doubled = (2 * widths[0],) + widths[1:]
-    variants = [("base", widths), ("doubled", doubled)]
-
-    all_results: dict[str, list[RunResult]] = {}
-    for name, shared in variants:
-        variant_cfg = dataclasses.replace(
-            cfg, model=dataclasses.replace(cfg.model, shared_widths=shared)
+    variants = [("base", widths), ("doubled", (2 * widths[0],) + widths[1:])]
+    all_results = {
+        name: run_study(
+            dataclasses.replace(
+                cfg,
+                model=dataclasses.replace(cfg.model, shared_widths=shared),
+                output_dir=cfg.output_dir / name,
+            ),
+            jobs,
         )
-        root = cfg.output_dir / name
-        root.mkdir(parents=True, exist_ok=True)
-        results = _execute_runs(variant_cfg, root, jobs)
-        _write_comparison(
-            results, cfg.strategy_labels, cfg.data.n_tasks, root / "comparison.csv"
-        )
-        all_results[name] = results
+        for name, shared in variants
+    }
 
     metric = all_results["base"][0].metric
     n_tasks = cfg.data.n_tasks
     header = ["strategy", "width_variant", "first_shared_width", "theta_params", "metric"]
     header += [f"task{t}_mean" for t in range(n_tasks)]
     header += [f"task{t}_delta_vs_base" for t in range(n_tasks)]
-    lines = [",".join(header)]
+    rows = []
     for label in cfg.strategy_labels:
-        means = {}
-        params = {}
-        for name, _ in variants:
-            runs = [r for r in all_results[name] if r.strategy_label == label]
-            means[name] = np.mean([r.test_values for r in runs], axis=0)
-            params[name] = runs[0].theta_params
+        runs = {
+            name: [r for r in results if r.strategy_label == label]
+            for name, results in all_results.items()
+        }
+        means = {name: np.mean([r.test_values for r in rs], axis=0) for name, rs in runs.items()}
         for name, shared in variants:
-            row = [label, name, str(shared[0]), str(params[name]), metric]
+            row = [label, name, shared[0], runs[name][0].theta_params, metric]
             row += [f"{means[name][t]:.6f}" for t in range(n_tasks)]
             row += [f"{means[name][t] - means['base'][t]:.6f}" for t in range(n_tasks)]
-            lines.append(",".join(row))
+            rows.append(row)
     out = cfg.output_dir / "capacity_sweep.csv"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(out, header, rows)
     return out

@@ -393,15 +393,17 @@ def _layer_dict(layer: DenseLayer) -> dict:
     }
 
 
+def _layout_list(layout: tuple[LayoutEntry, ...]) -> list[dict]:
+    return [{"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in layout]
+
+
 def save_net(net: SharedBottomNet, path: str | Path) -> None:
     """Serialize architecture, parameter layouts and values as JSON."""
     payload = {
         "format": "cograd-checkpoint-v1",
         "input_dim": net.input_dim,
         "num_tasks": net.num_tasks,
-        "theta_layout": [
-            {"name": e.name, "shape": list(e.shape), "offset": e.offset} for e in net.theta_layout
-        ],
+        "theta_layout": _layout_list(net.theta_layout),
         "shared": [_layer_dict(layer) for layer in net.shared_layers],
         "heads": [[_layer_dict(layer) for layer in head] for head in net.task_heads],
     }
@@ -411,8 +413,9 @@ def save_net(net: SharedBottomNet, path: str | Path) -> None:
 def load_net(path: str | Path) -> SharedBottomNet:
     """Rebuild a network from ``save_net`` output.
 
-    Refuses non-finite weights or biases and an ``input_dim`` that is not a
-    positive integer; errors name the path and a layer as ``shared[i]`` or ``heads[t][i]``.
+    Refuses non-finite weights or biases, an ``input_dim`` that is not a
+    positive integer, and a ``num_tasks`` or ``theta_layout`` that disagrees
+    with the layers; errors name the path and a layer as ``shared[i]`` or ``heads[t][i]``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -443,6 +446,7 @@ def load_net(path: str | Path) -> SharedBottomNet:
             for t, head in enumerate(payload["heads"])
         ]
         input_dim = payload["input_dim"]
+        stated = {"num_tasks": payload["num_tasks"], "theta_layout": payload["theta_layout"]}
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} is missing key {exc.args[0]!r}") from None
     except TypeError as exc:
@@ -450,6 +454,11 @@ def load_net(path: str | Path) -> SharedBottomNet:
     if isinstance(input_dim, bool) or not isinstance(input_dim, int) or input_dim <= 0:
         raise ConfigError(f"checkpoint {path}: input_dim must be a positive integer")
     try:
-        return SharedBottomNet(input_dim, shared, heads)
+        net = SharedBottomNet(input_dim, shared, heads)
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
+    built = {"num_tasks": net.num_tasks, "theta_layout": _layout_list(net.theta_layout)}
+    for key, value in stated.items():
+        if value != built[key]:
+            raise ConfigError(f"checkpoint {path}: {key} does not match its layers")
+    return net

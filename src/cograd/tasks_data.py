@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -229,27 +230,29 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
     )
 
 
+def write_table(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write a header-first CSV with newline (not CRLF) line ends.
+
+    A float cell (``np.float64`` included) is written as ``repr(float(v))``,
+    so a rerun reproduces the file byte for byte; any other cell as itself.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def write_csv(ds: MultiTaskDataset, path: str | Path) -> None:
     """Inverse of ``load_csv``: group id?, f0..f{d-1}, label0..label{T-1}.
 
     Floats use repr formatting, so a write/load round trip is bitwise exact.
     """
-    path = Path(path)
-    header: list[str] = []
+    header = [f"f{j}" for j in range(ds.n_features)] + [f"label{t}" for t in range(ds.n_tasks)]
+    rows = [list(f) + [int(v) for v in lab] for f, lab in zip(ds.features, ds.labels)]
     if ds.group_ids is not None:
-        header.append("group_id")
-    header += [f"f{j}" for j in range(ds.n_features)]
-    header += [f"label{t}" for t in range(ds.n_tasks)]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n_rows):
-            row: list[str] = []
-            if ds.group_ids is not None:
-                row.append(str(ds.group_ids[i]))
-            row += [repr(float(v)) for v in ds.features[i]]
-            row += [str(int(v)) for v in ds.labels[i]]
-            writer.writerow(row)
+        header = ["group_id"] + header
+        rows = [[str(g)] + row for g, row in zip(ds.group_ids, rows)]
+    write_table(path, header, rows)
 
 
 @dataclass(frozen=True)

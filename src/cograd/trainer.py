@@ -16,7 +16,6 @@ deterministic given the config seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,10 +42,11 @@ from .model import (
     theta_loss_fn,
     trunk_activations,
 )
-from .tasks_data import DatasetSplits, MultiTaskDataset, batches
+from .tasks_data import DatasetSplits, MultiTaskDataset, batches, write_table
 from scipy.special import expit
 
 _OPTIMIZERS = ("adam", "sgd")
+_BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
 
 
 @dataclass
@@ -56,9 +56,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -74,11 +71,11 @@ def adam_step(params, grad, state: AdamState, eta: float) -> np.ndarray:
             f"size mismatch: {p.size} params, {g.size} grads, {state.m.size} state"
         )
     state.step_count += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1**state.step_count)
-    v_hat = state.v / (1.0 - state.beta2**state.step_count)
-    return p - eta * m_hat / (np.sqrt(v_hat) + state.eps_hat)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
+    m_hat = state.m / (1.0 - _BETA1**state.step_count)
+    v_hat = state.v / (1.0 - _BETA2**state.step_count)
+    return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
 
 
 def sgd_step(params, grad, eta: float) -> np.ndarray:
@@ -314,45 +311,27 @@ def save_metrics(log: MetricsLog, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pairs = [(i, j) for i in range(log.num_tasks) for j in range(i + 1, log.num_tasks)]
-
-    with (directory / "metrics_steps.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step"]
-            + [f"loss_{t}" for t in range(log.num_tasks)]
-            + [f"cos_{i}_{j}" for i, j in pairs]
-        )
-        for rec in log.steps:
-            writer.writerow(
-                [rec.step]
-                + [repr(float(v)) for v in rec.losses]
-                + [repr(float(rec.cosines[i, j])) for i, j in pairs]
-            )
-
-    with (directory / "metrics_eval.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "metric"] + [f"task_{t}" for t in range(log.num_tasks)])
-        for rec in log.evals:
-            writer.writerow([rec.step, rec.metric] + [repr(float(v)) for v in rec.values])
-
+    tasks = range(log.num_tasks)
+    pairs = [(i, j) for i in tasks for j in range(i + 1, log.num_tasks)]
+    write_table(
+        directory / "metrics_steps.csv",
+        ["step"] + [f"loss_{t}" for t in tasks] + [f"cos_{i}_{j}" for i, j in pairs],
+        ([r.step, *r.losses] + [r.cosines[i, j] for i, j in pairs] for r in log.steps),
+    )
+    write_table(
+        directory / "metrics_eval.csv",
+        ["step", "metric"] + [f"task_{t}" for t in tasks],
+        ([r.step, r.metric, *r.values] for r in log.evals),
+    )
     if log.transference:
-        with (directory / "metrics_transference.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "source_task", "target_task", "exact_delta", "first_order", "gamma_used"]
-            )
-            for rec in log.transference:
-                writer.writerow(
-                    [
-                        rec.step,
-                        rec.source_task,
-                        rec.target_task,
-                        repr(float(rec.exact_delta)),
-                        repr(float(rec.first_order)),
-                        repr(float(rec.gamma_used)),
-                    ]
-                )
+        write_table(
+            directory / "metrics_transference.csv",
+            ["step", "source_task", "target_task", "exact_delta", "first_order", "gamma_used"],
+            (
+                [r.step, r.source_task, r.target_task, r.exact_delta, r.first_order, r.gamma_used]
+                for r in log.transference
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cograd import build_dataset, errors, resolve_config, run_one, write_csv
+from cograd import (
+    MultiTaskDataset,
+    build_dataset,
+    errors,
+    load_csv,
+    resolve_config,
+    run_one,
+    write_csv,
+)
 from cograd.cli import main
 
 
@@ -227,6 +236,9 @@ def _nan_first_weight(ckpt):
         (lambda ckpt: ckpt["shared"][0]["bias"].pop(), "shared[0]"),
         (lambda ckpt: ckpt["heads"][1][0]["bias"].pop(), "heads[1][0]"),
         (lambda ckpt: ckpt["heads"][0][1]["weights"].pop(), "heads[0][1]"),
+        (lambda ckpt: ckpt.update(num_tasks=5), "num_tasks does not match its layers"),
+        (lambda ckpt: ckpt.update(theta_layout=[]), "theta_layout does not match its layers"),
+        (lambda ckpt: ckpt.pop("theta_layout"), "missing key 'theta_layout'"),
     ],
     ids=[
         "nan_weight",
@@ -235,6 +247,9 @@ def _nan_first_weight(ckpt):
         "short_bias",
         "short_head_bias",
         "mismatched_fan_in",
+        "wrong_num_tasks",
+        "empty_theta_layout",
+        "missing_theta_layout",
     ],
 )
 def test_probe_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, mangle, named):
@@ -267,6 +282,36 @@ def test_probe_checkpoint_missing_key_exits_2(tmp_path, capsys):
     )
     assert main(["probe", str(partial), str(csv_path)]) == 2
     assert "missing key 'shared'" in capsys.readouterr().err
+
+
+def test_every_csv_has_newline_line_ends(tmp_path):
+    config, raw = write_config(tmp_path)
+    raw["train"].update(eval_every=3, transference_every=2)
+    raw["validate"] = {"checkpoints": [0, 3]}
+    config.write_text(json.dumps(raw))
+    cfg = resolve_config(raw, tmp_path)
+    plain = build_dataset(cfg.data, 0)
+    groups = np.array([f"g{i % 7}" for i in range(plain.n_rows)])
+    ds = MultiTaskDataset(plain.features, plain.labels, groups)
+    data_csv = tmp_path / "data.csv"
+    write_csv(ds, data_csv)
+    back = load_csv(data_csv, ds.n_tasks, has_group_column=True)
+    assert np.array_equal(back.features, ds.features) and np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.group_ids, ds.group_ids)
+
+    out = tmp_path / "out"
+    assert main(["train", str(config)]) == 0
+    assert main(["validate-approx", str(config)]) == 0
+    ckpt = out / "cograd" / "0" / "checkpoint.json"
+    assert main(["probe", str(ckpt), str(data_csv), "--group-column"]) == 0
+    assert main(["capacity-sweep", str(config), "--output-dir", str(out / "sweep")]) == 0
+    written = {p.name for p in tmp_path.rglob("*.csv")}
+    assert written == {
+        "data.csv", "metrics_steps.csv", "metrics_eval.csv", "metrics_transference.csv",
+        "comparison.csv", "validate_approx.csv", "probe_histogram.csv", "capacity_sweep.csv",
+    }
+    for path in tmp_path.rglob("*.csv"):
+        assert b"\r" not in path.read_bytes(), path
 
 
 def test_capacity_sweep_command(tmp_path, capsys):

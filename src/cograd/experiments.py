@@ -315,6 +315,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return resolve_config(raw, path.parent.resolve())

@@ -19,7 +19,7 @@ The trainer writes its updates into ``theta`` and ``phi[t]`` in place;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -247,12 +247,17 @@ def forward(net: SharedBottomNet, features: np.ndarray) -> tuple[np.ndarray, For
     """Run a batch through the net; returns (n, T) logits and the cache."""
     x = _features(net, features)
     trunk_pre, trunk_act = _stack_forward(net.shared_layers, x)
-    head_pre, head_act = zip(*(_stack_forward(head, trunk_act[-1]) for head in net.task_heads))
+    return _heads_forward(net, ForwardCache(x, trunk_pre, trunk_act, [], []))
+
+
+def _heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray, ForwardCache]:
+    """Run every head on the cached trunk output; returns logits and a new cache."""
+    head_pre, head_act = zip(*(_stack_forward(h, cache.trunk_act[-1]) for h in net.task_heads))
     logits = np.concatenate([acts[-1] for acts in head_act], axis=1)
     if not np.all(np.isfinite(logits)):
         raise EvaluationError("forward produced non-finite logits")
     head_act = [acts[1:] for acts in head_act]  # a head's input is trunk_act[-1]
-    return logits, ForwardCache(x, trunk_pre, trunk_act, list(head_pre), head_act)
+    return logits, replace(cache, head_pre=list(head_pre), head_act=head_act)
 
 
 def predict_proba(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
@@ -274,6 +279,11 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         raise DimensionError(f"{z.size} logits vs {y.size} labels")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("labels must be binary 0/1")
+    return _bce(z, y)
+
+
+def _bce(z: np.ndarray, y: np.ndarray) -> float:
+    """``task_loss`` without its checks, for 1-D float64 logits and 0/1 labels."""
     # max(z,0) - z*y + log(1 + exp(-|z|)) avoids overflow for large |z|.
     per_row = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     return float(np.mean(per_row))
@@ -281,11 +291,11 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _stack_backward(
     layers: list[DenseLayer], pres: list[np.ndarray], inputs: list[np.ndarray],
-    grad_out: np.ndarray, slots: list[tuple[slice, slice]], grad: np.ndarray,
+    grad_out: np.ndarray, slots: list[tuple[slice, slice]], grad: np.ndarray | None,
 ) -> np.ndarray:
     """Backpropagate ``grad_out``, the loss gradient at the stack's output.
 
-    Writes each layer's weight and bias gradient into ``grad`` at its slot,
+    Writes each layer's weight and bias gradient into ``grad`` (if given) at its slot,
     given layer i's pre-activation ``pres[i]`` and input ``inputs[i]``, and
     returns the gradient at the first layer's pre-activation.
     """
@@ -293,9 +303,10 @@ def _stack_backward(
     for i in range(len(layers) - 1, -1, -1):
         if layers[i].activation == "relu":  # the subgradient at 0 is taken as 0
             delta = delta * (pres[i] > 0.0).astype(np.float64)
-        w, b = slots[i]
-        grad[w] = (inputs[i].T @ delta).ravel()
-        grad[b] = delta.sum(axis=0)
+        if grad is not None:
+            w, b = slots[i]
+            grad[w] = (inputs[i].T @ delta).ravel()
+            grad[b] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ layers[i].weights.T
     return delta
@@ -324,29 +335,33 @@ def backward_task(
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != n:
         raise DimensionError(f"{y.size} labels for batch of {n}")
-
-    z_out = cache.head_pre[task_id][-1]
-    if z_out.shape[0] != n:
+    if cache.head_pre[task_id][-1].shape[0] != n:
         raise DimensionError("stale cache: batch size mismatch")
 
-    # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (expit(z_out) - y[:, None]) / n
-    head = net.task_heads[task_id]
-    inputs = [cache.trunk_act[-1], *cache.head_act[task_id]]
-    grad_phi = np.empty(net.phi[task_id].size)
-    delta = _stack_backward(
-        head, cache.head_pre[task_id], inputs, delta, net._phi_slots[task_id], grad_phi
-    )
-    grad_theta = np.empty(net.theta.size)
-    if net.shared_layers:  # the head's input gradient is the trunk's output gradient
-        _stack_backward(
-            net.shared_layers, cache.trunk_pre, cache.trunk_act, delta @ head[0].weights.T,
-            net._theta_slots, grad_theta,
-        )
+    grad_theta, grad_phi = np.empty(net.theta.size), np.empty(net.phi[task_id].size)
+    _task_backward(net, cache, y, task_id, grad_phi, grad_theta)
     return (
         ParamVector(grad_theta, net.theta_layout),
         ParamVector(grad_phi, net.phi_layouts[task_id]),
     )
+
+
+def _task_backward(
+    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int,
+    grad_phi: np.ndarray | None = None, grad_theta: np.ndarray | None = None,
+) -> None:
+    """Backpropagate task ``task``'s mean BCE on 1-D ``labels`` into ``grad_phi`` (its head) and
+    ``grad_theta`` (the trunk), each only if given: without ``grad_theta`` the trunk is skipped."""
+    pres, head = cache.head_pre[task], net.task_heads[task]
+    # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
+    delta = (expit(pres[-1]) - labels[:, None]) / labels.size
+    inputs = [cache.trunk_act[-1], *cache.head_act[task]]
+    delta = _stack_backward(head, pres, inputs, delta, net._phi_slots[task], grad_phi)
+    if grad_theta is not None and net.shared_layers:  # head input gradient = trunk output gradient
+        _stack_backward(
+            net.shared_layers, cache.trunk_pre, cache.trunk_act, delta @ head[0].weights.T,
+            net._theta_slots, grad_theta,
+        )
 
 
 def theta_loss_fn(
@@ -371,16 +386,21 @@ def theta_loss_fn(
 def theta_grad_fn(
     net: SharedBottomNet, features: np.ndarray, labels: np.ndarray, task: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Analytic trunk gradient as a function of the flat shared vector."""
-    probe = net.copy()
-    x = np.asarray(features, dtype=np.float64)
+    """Analytic trunk gradient as a function of the flat shared vector, from head ``task`` only."""
+    if not 0 <= task < net.num_tasks:
+        raise DimensionError(f"task_id {task} out of range")
+    probe = SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[task]])
+    x = _features(net, features)
     y = np.asarray(labels, dtype=np.float64).ravel()
+    if y.size != x.shape[0]:
+        raise DimensionError(f"{y.size} labels for batch of {x.shape[0]}")
 
     def fn(theta: np.ndarray) -> np.ndarray:
         probe.set_theta(theta)
         _, cache = forward(probe, x)
-        grad_theta, _ = backward_task(probe, cache, y, task)
-        return grad_theta.values
+        grad_theta = np.empty(probe.theta.size)
+        _task_backward(probe, cache, y, 0, grad_theta=grad_theta)
+        return grad_theta
 
     return fn
 
@@ -421,6 +441,8 @@ def load_net(path: str | Path) -> SharedBottomNet:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"checkpoint not readable: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"checkpoint is not UTF-8 text: {path}: {exc.reason}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

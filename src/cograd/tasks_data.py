@@ -178,7 +178,7 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
         fh = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise CsvParseError(f"{path}: {exc.strerror}") from exc
-    with fh:
+    try:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -221,6 +221,10 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
                 labs.append(float(row[c]))
             feat_rows.append(feats)
             label_rows.append(labs)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    finally:
+        fh.close()
     if not feat_rows:
         raise CsvParseError(f"{path}: no data rows")
     return MultiTaskDataset(

@@ -1,9 +1,10 @@
 """Multi-task training loop, optimizers, instrumentation, and the probe.
 
-One training step on a batch:
+One training step on a batch runs the trunk forward once:
 
-1. update each task head from its own weighted loss gradient,
-2. recompute per-task gradients over the shared trunk,
+1. update each task head from its own weighted loss gradient (heads only),
+2. re-run the heads on the cached trunk activations, then take one trunk
+   backward pass per task for its gradient over the shared trunk,
 3. pass those through the configured gradient strategy,
 4. apply one optimizer step to the trunk on the weighted sum of the
    modified gradients.
@@ -34,7 +35,9 @@ from .gradmod import (
 from .metrics import evaluate_auc, evaluate_gauc, loss_weights_from_prior
 from .model import (
     SharedBottomNet,
-    backward_task,
+    _bce,
+    _heads_forward,
+    _task_backward,
     forward,
     predict_proba,
     task_loss,
@@ -71,11 +74,12 @@ def adam_step(params, grad, state: AdamState, eta: float) -> np.ndarray:
             f"size mismatch: {p.size} params, {g.size} grads, {state.m.size} state"
         )
     state.step_count += 1
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
-    m_hat = state.m / (1.0 - _BETA1**state.step_count)
-    v_hat = state.v / (1.0 - _BETA2**state.step_count)
-    return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
+    with np.errstate(over="ignore", invalid="ignore"):  # _optimizer_step reports overflow
+        state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
+        state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
+        m_hat = state.m / (1.0 - _BETA1**state.step_count)
+        v_hat = state.v / (1.0 - _BETA2**state.step_count)
+        return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
 
 
 def sgd_step(params, grad, eta: float) -> np.ndarray:
@@ -242,20 +246,21 @@ def train(
                 # Phase 1: head updates from each task's own weighted loss.
                 _, cache = forward(net, x)
                 for t in range(num_tasks):
-                    _, grad_phi = backward_task(net, cache, y[:, t], t)
-                    phi_grad = weights[t] * grad_phi.values
+                    grad_phi = np.empty(net.phi[t].size)
+                    _task_backward(net, cache, y[:, t], t, grad_phi=grad_phi)
+                    phi_grad = weights[t] * grad_phi
                     net.phi[t][...] = _optimizer_step(net.phi[t], phi_grad, phi_states[t], lr, step)
 
-                # Phase 2: per-task trunk gradients at the updated heads.
-                logits, cache = forward(net, x)
+                # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
+                logits, cache = _heads_forward(net, cache)
             except EvaluationError as exc:
                 raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
             losses = []
             raw_grads = []
             for t in range(num_tasks):
-                losses.append(task_loss(logits[:, t], y[:, t]))
-                grad_theta, _ = backward_task(net, cache, y[:, t], t)
-                raw_grads.append(grad_theta.values)
+                losses.append(_bce(logits[:, t], y[:, t]))
+                raw_grads.append(np.empty(net.theta.size))
+                _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[-1])
             if not all(np.isfinite(losses)):
                 raise DivergenceError(f"training diverged at step {step}: non-finite loss")
 

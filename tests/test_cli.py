@@ -101,6 +101,23 @@ def test_overflowing_optimizer_moment_exits_3(tmp_path, capsys):
     assert "diverged at step 1" in capsys.readouterr().err
 
 
+def test_overflowing_optimizer_moment_prints_only_the_error_line(tmp_path):
+    # numpy's overflow warning used to reach stderr ahead of the error line.
+    config, _ = write_config(tmp_path, strategies=[{"kind": "cograd", "gammas": [1e300, 1e300]}])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cograd", "train", str(config)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_checkout_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: run cograd/seed 0: training diverged at step 1: "
+        "non-finite gradient or optimizer moment"
+    ]
+
+
 def test_output_dir_override(tmp_path):
     config, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"
@@ -221,6 +238,18 @@ def test_probe_corrupt_checkpoint_exits_2(tmp_path, capsys):
     mangled.write_text("{not json", encoding="utf-8")
     assert main(["probe", str(mangled), str(csv_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["config", "csv", "checkpoint"])
+def test_non_utf8_input_exits_2_naming_it(tmp_path, capsys, which):
+    ckpt, csv_path, config = probe_fixtures(tmp_path)
+    bad = {"config": config, "csv": csv_path, "checkpoint": ckpt}[which]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    argv = ["train", str(config)] if which == "config" else ["probe", str(ckpt), str(csv_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "not UTF-8" in err
 
 
 def _nan_first_weight(ckpt):

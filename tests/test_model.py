@@ -9,6 +9,7 @@ from cograd import (
     DataError,
     DenseLayer,
     DimensionError,
+    EvaluationError,
     LayoutError,
     SharedBottomNet,
     backward_task,
@@ -19,6 +20,7 @@ from cograd import (
     predict_proba,
     save_net,
     task_loss,
+    theta_grad_fn,
     trunk_activations,
 )
 
@@ -227,6 +229,26 @@ def test_backward_stale_cache_rejected():
     _, cache = forward(other, batch(4, 8)[0])
     with pytest.raises(DimensionError):
         backward_task(net, cache, np.zeros(4), 0)
+
+
+def test_theta_grad_fn_runs_its_own_head_only():
+    # The trunk gradient of task t needs the trunk and head t alone: it equals
+    # backward_task's bit for bit, a non-finite logit of head t raises, and one
+    # of another head does not; bad inputs are refused when the function is built.
+    net = small_net(3)
+    x, y = batch(10, 8, seed=2)
+    _, cache = forward(net, x)
+    for t in range(2):
+        expected = backward_task(net, cache, y, t)[0].values
+        assert np.array_equal(theta_grad_fn(net, x, y, t)(net.theta.copy()), expected)
+    net.phi[1][...] = np.nan
+    assert np.all(np.isfinite(theta_grad_fn(net, x, y, 0)(net.theta.copy())))
+    with pytest.raises(EvaluationError, match="non-finite logits"):
+        theta_grad_fn(net, x, y, 1)(net.theta.copy())
+    with pytest.raises(DimensionError, match="out of range"):
+        theta_grad_fn(net, x, y, -1)
+    with pytest.raises(DimensionError, match="labels for batch"):
+        theta_grad_fn(net, x, y[:-1], 0)
 
 
 def test_duplicated_rows_leave_loss_and_grads_unchanged():

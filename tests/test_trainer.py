@@ -357,3 +357,139 @@ def test_metrics_log_rejects_nonincreasing_steps():
     log.add_step(StepRecord(step=1, losses=(0.5, 0.5), cosines=np.eye(2)))
     with pytest.raises(ConfigError):
         log.add_step(StepRecord(step=1, losses=(0.4, 0.4), cosines=np.eye(2)))
+
+
+def _two_forward_reference(net, splits, cfg, weights):
+    """The training step in its two-forward form, from public calls only.
+
+    Phase 1 updates each head from ``backward_task``; phase 2 runs the whole
+    net forward again, and exact-HVP gradient functions evaluate the whole
+    net through ``forward`` / ``backward_task``. Returns per-step losses and
+    cosines, eval values and transference records.
+    """
+    from cograd import batches, measure_transference, modify_gradients, pairwise_cosine
+    from cograd.model import theta_loss_fn
+    from cograd.trainer import evaluate_split
+
+    data, lr, num_tasks = splits.train, cfg.learning_rate, net.num_tasks
+    theta_state = AdamState.zeros(net.theta.size)
+    phi_states = [AdamState.zeros(phi.size) for phi in net.phi]
+    moving_norms = np.zeros(num_tasks)
+    losses, cosines, evals, transference = [], [], [], []
+
+    def grad_fn(x, y, t):
+        probe = net.copy()
+
+        def fn(theta):
+            probe.set_theta(theta)
+            _, cache = forward(probe, x)
+            return backward_task(probe, cache, y, t)[0].values
+
+        return fn
+
+    step = epoch = 0
+    while step < cfg.steps:
+        for rows in batches(data.n_rows, cfg.batch_size, cfg.seed * 1_000_003 + epoch):
+            step += 1
+            x, y = data.features[rows], data.labels[rows]
+            _, cache = forward(net, x)
+            for t in range(num_tasks):
+                grad_phi = weights[t] * backward_task(net, cache, y[:, t], t)[1].values
+                net.phi[t][...] = adam_step(net.phi[t], grad_phi, phi_states[t], lr)
+            logits, cache = forward(net, x)
+            grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(num_tasks)]
+            losses.append(tuple(task_loss(logits[:, t], y[:, t]) for t in range(num_tasks)))
+            if step % cfg.transference_every == 0:
+                loss_fns = [theta_loss_fn(net, x, y[:, t], t) for t in range(num_tasks)]
+                gammas = cfg.strategy.probe_gammas(num_tasks)
+                transference.extend(measure_transference(step, net.theta, grads, loss_fns, gammas))
+            modified = modify_gradients(
+                grads,
+                cfg.strategy,
+                order_seed=cfg.seed * 1_000_003 + step,
+                grad_fns=[grad_fn(x, y[:, t], t) for t in range(num_tasks)],
+                theta=net.theta,
+                moving_norms=moving_norms,
+            )
+            aggregate = np.zeros(net.theta.size)
+            for t in range(num_tasks):
+                aggregate += weights[t] * modified[t]
+            net.theta[...] = adam_step(net.theta, aggregate, theta_state, lr)
+            cosines.append(pairwise_cosine(grads))
+            if step % cfg.eval_every == 0:
+                evals.append(evaluate_split(net, splits.val).values)
+            if step == cfg.steps:
+                break
+        epoch += 1
+    return losses, cosines, evals, transference
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_one_trunk_forward_step_is_bitwise_the_two_forward_step(kind):
+    # Phase 2 reuses phase 1's trunk activations: the trunk has not changed in
+    # between, so every parameter, loss and cosine must match the form that
+    # runs the whole net forward twice, bit for bit, over several epochs.
+    splits = split(small_dataset(n=260, rates=(0.5, 0.3, 0.1)), (200, 30, 30))
+    weights = (1.0, 0.5, 2.0)
+    gammas = (0.05, 0.02, 0.1) if kind == "cograd_exact_hvp" else (10.0, 5.0, 20.0)
+    cfg = small_config(
+        steps=7,
+        strategy=StrategyConfig(kind=kind, gammas=gammas),
+        loss_weights=weights,
+        eval_every=3,
+        transference_every=2,
+    )
+    trained, log = train(init_net(6, [8, 5], [4], 3, 5), splits, cfg)
+    reference = init_net(6, [8, 5], [4], 3, 5)
+    losses, cosines, evals, transference = _two_forward_reference(reference, splits, cfg, weights)
+
+    assert np.array_equal(trained.theta, reference.theta)
+    for t in range(3):
+        assert np.array_equal(trained.phi[t], reference.phi[t])
+    assert [r.losses for r in log.steps] == losses
+    for record, expected in zip(log.steps, cosines, strict=True):
+        assert np.array_equal(record.cosines, expected)
+    assert [r.values for r in log.evals] == evals
+    assert log.transference == transference
+
+
+def test_step_runs_the_trunk_forward_once_and_backward_once_per_task(monkeypatch):
+    # With no periodic eval, an S-step T-task sum run makes S trunk forward
+    # passes and S*T trunk backward passes; each head runs forward and
+    # backward twice per step (once per phase).
+    from cograd import model
+
+    net = init_net(6, [8, 5], [4], 3, 0)
+    counts = {"trunk_forward": 0, "trunk_backward": 0, "head_forward": 0, "head_backward": 0}
+    stack_forward, stack_backward = model._stack_forward, model._stack_backward
+
+    def counting(original, direction):
+        def wrapped(layers, *args):
+            part = "trunk" if layers is net.shared_layers else "head"
+            counts[f"{part}_{direction}"] += 1
+            return original(layers, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(model, "_stack_forward", counting(stack_forward, "forward"))
+    monkeypatch.setattr(model, "_stack_backward", counting(stack_backward, "backward"))
+    steps, num_tasks = 5, 3
+    splits = split(small_dataset(rates=(0.5, 0.3, 0.1)), (4, 1, 1))
+    train(net, splits, small_config(steps=steps, loss_weights=None, eval_every=0))
+    assert counts == {
+        "trunk_forward": steps,
+        "trunk_backward": steps * num_tasks,
+        "head_forward": 2 * steps * num_tasks,
+        "head_backward": 2 * steps * num_tasks,
+    }
+
+
+def test_overflowing_adam_moment_raises_divergence_without_a_numpy_warning():
+    import warnings
+
+    splits = split(small_dataset(), (4, 1, 1))
+    cfg = small_config(strategy=StrategyConfig(kind="cograd", gammas=(1e300, 1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="diverged at step 1"):
+            train(small_net(), splits, cfg)

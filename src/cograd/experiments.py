@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, InputError
 from .gradmod import StrategyConfig, approx_hvp, measure_transference, pairwise_cosine
 from .model import (
     SharedBottomNet,
@@ -345,12 +345,22 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def build_dataset(data: DataConfig, run_seed: int) -> MultiTaskDataset:
-    """Dataset for one run; synthetic data is re-drawn per run seed."""
+def _parse_csv(data: DataConfig) -> MultiTaskDataset | None:
+    """A CSV data section's dataset, parsed once per command; None for synthetic data."""
+    if data.csv_path is None:
+        return None
+    return load_csv(data.csv_path, data.n_tasks, data.csv_has_group)
+
+
+def build_dataset(
+    data: DataConfig, run_seed: int, parsed: MultiTaskDataset | None = None
+) -> MultiTaskDataset:
+    """Dataset for one run; synthetic data is re-drawn per run seed, and a
+    CSV is read from its file unless its ``parsed`` dataset is given."""
     if data.synthetic is not None:
         cfg = dataclasses.replace(data.synthetic, seed=data.synthetic.seed + run_seed)
         return generate_synthetic(cfg)
-    return load_csv(data.csv_path, data.n_tasks, data.csv_has_group)
+    return parsed if parsed is not None else _parse_csv(data)
 
 
 @dataclass
@@ -366,10 +376,10 @@ class RunResult:
 
 
 def _cell(
-    cfg: ExperimentConfig, strategy_idx: int, seed: int
+    cfg: ExperimentConfig, strategy_idx: int, seed: int, parsed: MultiTaskDataset | None = None
 ) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
     """The splits, initial net and training settings of one (strategy, seed) cell."""
-    ds = build_dataset(cfg.data, seed)
+    ds = build_dataset(cfg.data, seed, parsed)
     net = init_net(
         input_dim=ds.n_features,
         shared_widths=list(cfg.model.shared_widths),
@@ -386,10 +396,11 @@ def run_one(
     strategy_idx: int,
     seed: int,
     output_root: Path | None = None,
+    parsed: MultiTaskDataset | None = None,
 ) -> RunResult:
     """Train one (strategy, seed) cell and write its artifacts."""
     label = cfg.strategy_labels[strategy_idx]
-    splits, net, train_cfg = _cell(cfg, strategy_idx, seed)
+    splits, net, train_cfg = _cell(cfg, strategy_idx, seed, parsed)
     theta_params = net.theta.size
     started = time.perf_counter()
     try:
@@ -398,8 +409,8 @@ def run_one(
         raise DivergenceError(f"run {label}/seed {seed}: {exc}") from exc
     wall = time.perf_counter() - started
 
-    final_val = evaluate_split(net, splits.val)
-    final_test = evaluate_split(net, splits.test)
+    final_val = evaluate_split(net, splits.val, "validation")
+    final_test = evaluate_split(net, splits.test, "test")
 
     run_dir = None
     if output_root is not None:
@@ -432,9 +443,12 @@ def run_one(
     )
 
 
-def _execute_runs(cfg: ExperimentConfig, jobs: int) -> list[RunResult]:
+def _execute_runs(
+    cfg: ExperimentConfig, jobs: int, parsed: MultiTaskDataset | None
+) -> list[RunResult]:
+    """Every (strategy, seed) cell; worker processes receive ``parsed`` with their cell."""
     cells = [
-        (cfg, si, seed, cfg.output_dir)
+        (cfg, si, seed, cfg.output_dir, parsed)
         for si in range(len(cfg.strategies))
         for seed in cfg.seeds
     ]
@@ -474,10 +488,21 @@ def _write_comparison(
     write_table(path, header, rows)
 
 
-def run_study(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """All (strategy x seed) runs plus the top-level comparison table."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    results = _execute_runs(cfg, jobs)
+def _make_output_dir(path: Path) -> None:
+    """Create the output directory; a path that cannot be one is an input error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"output directory {path}: {exc.strerror}") from None
+
+
+def run_study(
+    cfg: ExperimentConfig, jobs: int = 1, parsed: MultiTaskDataset | None = None
+) -> list[RunResult]:
+    """All (strategy x seed) runs plus the top-level comparison table; a CSV
+    dataset is parsed here unless given as ``parsed``."""
+    _make_output_dir(cfg.output_dir)
+    results = _execute_runs(cfg, jobs, parsed if parsed is not None else _parse_csv(cfg.data))
     _write_comparison(
         results, cfg.strategy_labels, cfg.data.n_tasks, cfg.output_dir / "comparison.csv"
     )
@@ -500,6 +525,7 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
+    _make_output_dir(cfg.output_dir)
     snapshots: dict[int, SharedBottomNet] = {}
     if 0 in checkpoints:
         snapshots[0] = net.copy()
@@ -542,7 +568,6 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
                 [step, i, j, cosine, ratio, full.gamma_used, gap_full, gap_half, gap_ratio]
             )
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report = cfg.output_dir / "validate_approx.csv"
     header = ["step", "source_task", "target_task", "hvp_cosine", "hvp_norm_ratio"]
     header += ["gamma", "gap_at_gamma", "gap_at_half_gamma", "gap_ratio"]
@@ -574,9 +599,9 @@ def run_probe(
         raise ConfigError(
             f"checkpoint has {net.num_tasks} heads but dataset has {ds.n_tasks} tasks"
         )
+    _make_output_dir(output_dir)
     result = probe_harmonization(net, ds, probe_cfg)
 
-    output_dir.mkdir(parents=True, exist_ok=True)
     hist_path = output_dir / "probe_histogram.csv"
     write_table(hist_path, ["bin_center", "count"], zip(result.bin_centers, result.counts))
 
@@ -601,6 +626,8 @@ def run_capacity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> Path:
     """
     widths = cfg.model.shared_widths
     variants = [("base", widths), ("doubled", (2 * widths[0],) + widths[1:])]
+    _make_output_dir(cfg.output_dir)
+    parsed = _parse_csv(cfg.data)
     all_results = {
         name: run_study(
             dataclasses.replace(
@@ -609,6 +636,7 @@ def run_capacity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> Path:
                 output_dir=cfg.output_dir / name,
             ),
             jobs,
+            parsed,
         )
         for name, shared in variants
     }

@@ -32,24 +32,39 @@ def evaluate_gauc(scores, labels, group_ids) -> float:
     """Group-size-weighted mean AUC over groups containing both classes.
 
     Single-class groups are excluded from both numerator and denominator.
+    One sort by (group, score) ranks every group at once, ties at their
+    mid-rank, so the cost is O(n log n) however many groups there are. The
+    result equals the size-weighted mean of per-group ``evaluate_auc``, a NaN
+    score making its group's AUC NaN as there.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels, dtype=np.float64).ravel()
     g = np.asarray(group_ids).ravel()
     if not (s.size == y.size == g.size):
         raise DimensionError(f"sizes differ: {s.size} scores, {y.size} labels, {g.size} groups")
-    aucs = []
-    sizes = []
-    for group in np.unique(g):
-        mask = g == group
-        y_g = y[mask]
-        if y_g.min() == y_g.max():
-            continue  # single-class group carries no ranking signal
-        aucs.append(evaluate_auc(s[mask], y_g))
-        sizes.append(float(mask.sum()))
-    if not sizes:
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise DataError("labels must be binary 0/1")
+    _, codes = np.unique(g, return_inverse=True)
+    order = np.lexsort((s, codes))
+    codes, s, y = codes[order], s[order], y[order]
+    sizes = np.bincount(codes)
+    n_pos = np.bincount(codes, weights=y)
+    # A run of equal scores within a group shares the mean of its positions;
+    # subtracting the group's first position makes that a rank in the group.
+    starts = np.flatnonzero(np.r_[True, (codes[1:] != codes[:-1]) | (s[1:] != s[:-1])])
+    ends = np.r_[starts[1:], s.size]
+    first = np.cumsum(sizes) - sizes
+    ranks = np.repeat((starts + 1 + ends) / 2.0, ends - starts) - first[codes]
+    pos_rank_sums = np.bincount(codes, weights=ranks * y)
+    has_nan = np.bincount(codes, weights=np.isnan(s)) > 0
+
+    mixed = (n_pos > 0) & (n_pos < sizes)  # single-class groups carry no ranking signal
+    if not np.any(mixed):
         raise UndefinedMetricError("no group contains both classes")
-    weights = np.asarray(sizes) / np.sum(sizes)
+    n_pos, n_neg = n_pos[mixed], sizes[mixed] - n_pos[mixed]
+    aucs = (pos_rank_sums[mixed] - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    aucs[has_nan[mixed]] = np.nan
+    weights = sizes[mixed] / np.sum(sizes[mixed])
     return float(np.dot(weights, aucs))
 
 

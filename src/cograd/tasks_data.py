@@ -9,10 +9,11 @@ positive rates, hit by solving for the logit offset).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -165,6 +166,24 @@ def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
     return MultiTaskDataset(features, labels)
 
 
+_LABELS = {"0": 0.0, "1": 1.0}  # the only label spellings a CSV may use
+
+
+def _raise_feature_fault(
+    path: Path, lineno: int, row: list[str], first: int, last: int
+) -> NoReturn:
+    """Raise for the first non-numeric or non-finite feature of ``row``."""
+    for c in range(first, last):
+        try:
+            value = float(row[c])
+        except ValueError:
+            raise CsvParseError(
+                f"{path}:{lineno}: non-numeric feature {row[c]!r} in column {c + 1}"
+            ) from None
+        if not math.isfinite(value):
+            raise CsvParseError(f"{path}:{lineno}: non-finite feature in column {c + 1}")
+
+
 def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> MultiTaskDataset:
     """Parse a header-first CSV laid out as: group id?, features..., labels...
 
@@ -191,34 +210,32 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
                 f"{path}: {n_cols} columns cannot hold {n_tasks} labels"
                 f"{' plus a group column' if has_group_column else ''} and any feature"
             )
+        first = 1 if has_group_column else 0
+        last = first + n_feat  # one past the last feature column
         groups: list[str] = []
         feat_rows: list[list[float]] = []
         label_rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_cols:
                 raise CsvParseError(f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}")
-            pos = 0
             if has_group_column:
                 groups.append(row[0])
-                pos = 1
-            feats = []
-            for c in range(pos, pos + n_feat):
-                try:
-                    value = float(row[c])
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}:{lineno}: non-numeric feature {row[c]!r} in column {c + 1}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CsvParseError(f"{path}:{lineno}: non-finite feature in column {c + 1}")
-                feats.append(value)
-            labs = []
-            for c in range(pos + n_feat, n_cols):
-                if row[c] not in ("0", "1"):
-                    raise CsvParseError(
-                        f"{path}:{lineno}: label must be 0 or 1, got {row[c]!r} in column {c + 1}"
-                    )
-                labs.append(float(row[c]))
+            # Whole-row conversions first; only a faulty row is walked value
+            # by value, so its first fault in column order is the one named.
+            try:
+                feats = list(map(float, row[first:last]))
+                finite = all(map(math.isfinite, feats))
+            except ValueError:
+                finite = False
+            if not finite:
+                _raise_feature_fault(path, lineno, row, first, last)
+            try:
+                labs = [_LABELS[v] for v in row[last:]]
+            except KeyError:
+                c = next(c for c in range(last, n_cols) if row[c] not in _LABELS)
+                raise CsvParseError(
+                    f"{path}:{lineno}: label must be 0 or 1, got {row[c]!r} in column {c + 1}"
+                ) from None
             feat_rows.append(feats)
             label_rows.append(labs)
     except UnicodeDecodeError as exc:

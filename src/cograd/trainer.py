@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EvaluationError, ProbeError
+from .errors import ConfigError, DivergenceError, EvaluationError, ProbeError, UndefinedMetricError
 from .gradmod import (
     StrategyConfig,
     TransferenceRecord,
@@ -74,12 +74,11 @@ def adam_step(params, grad, state: AdamState, eta: float) -> np.ndarray:
             f"size mismatch: {p.size} params, {g.size} grads, {state.m.size} state"
         )
     state.step_count += 1
-    with np.errstate(over="ignore", invalid="ignore"):  # _optimizer_step reports overflow
-        state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
-        state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
-        m_hat = state.m / (1.0 - _BETA1**state.step_count)
-        v_hat = state.v / (1.0 - _BETA2**state.step_count)
-        return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
+    m_hat = state.m / (1.0 - _BETA1**state.step_count)
+    v_hat = state.v / (1.0 - _BETA2**state.step_count)
+    return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
 
 
 def sgd_step(params, grad, eta: float) -> np.ndarray:
@@ -182,7 +181,8 @@ def _optimizer_step(params, grad, state: AdamState | None, eta: float, step: int
 
     A non-finite gradient or Adam moment raises DivergenceError naming
     ``step``: an overflowed second moment would otherwise freeze the
-    parameters silently.
+    parameters silently. So does a non-finite update, which would otherwise
+    surface only at the next forward pass, or after training on the last step.
     """
     if state is None:
         new, moments = sgd_step(params, grad, eta), ()
@@ -192,19 +192,28 @@ def _optimizer_step(params, grad, state: AdamState | None, eta: float, step: int
         raise DivergenceError(
             f"training diverged at step {step}: non-finite gradient or optimizer moment"
         )
+    if not np.isfinite(new).all():
+        raise DivergenceError(f"training diverged at step {step}: non-finite parameter update")
     return new
 
 
-def evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset) -> EvalRecord:
-    """Ranking metric of every task on one split: GAUC when it has groups, else AUC."""
+def evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset, split_name: str) -> EvalRecord:
+    """Ranking metric of every task on one split: GAUC when it has groups, else AUC.
+
+    An undefined metric (a task with one label class) names ``split_name``
+    and the task.
+    """
     scores = predict_proba(net, ds.features)
     metric = "gauc" if ds.group_ids is not None else "auc"
     values = []
     for t in range(ds.n_tasks):
-        if metric == "gauc":
-            values.append(evaluate_gauc(scores[:, t], ds.labels[:, t], ds.group_ids))
-        else:
-            values.append(evaluate_auc(scores[:, t], ds.labels[:, t]))
+        try:
+            if metric == "gauc":
+                values.append(evaluate_gauc(scores[:, t], ds.labels[:, t], ds.group_ids))
+            else:
+                values.append(evaluate_auc(scores[:, t], ds.labels[:, t]))
+        except UndefinedMetricError as exc:
+            raise UndefinedMetricError(f"{split_name} split, task {t}: {exc}") from None
     return EvalRecord(step=0, metric=metric, values=tuple(values))
 
 
@@ -218,8 +227,8 @@ def train(
 
     Evaluates ranking metrics on the validation split every ``eval_every``
     steps. ``step_callback(step, net)`` fires after each trunk update, for
-    checkpoint capture. Aborts with the step index if any loss, gradient or
-    optimizer moment goes non-finite. Batches are row indices into the
+    checkpoint capture. Aborts with the step index if any loss, gradient,
+    optimizer moment or parameter goes non-finite. Batches are row indices into the
     train split, and each update is written into the net's own parameter
     buffers; the net is also returned.
     """
@@ -235,73 +244,79 @@ def train(
     phi_states = [AdamState.zeros(phi.size) if use_adam else None for phi in net.phi]
     moving_norms = np.zeros(num_tasks)
 
-    step = 0
-    epoch = 0
-    while step < cfg.steps:
-        shuffle_seed = cfg.seed * 1_000_003 + epoch if cfg.shuffle else None
-        for rows in batches(data.n_rows, cfg.batch_size, shuffle_seed):
-            step += 1
-            x, y = data.features[rows], data.labels[rows]
-            try:
-                # Phase 1: head updates from each task's own weighted loss.
-                _, cache = forward(net, x)
+    # Overflow and invalid values raise DivergenceError naming the step, by
+    # the checks below; numpy's warnings would only repeat them on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = 0
+        epoch = 0
+        while step < cfg.steps:
+            shuffle_seed = cfg.seed * 1_000_003 + epoch if cfg.shuffle else None
+            for rows in batches(data.n_rows, cfg.batch_size, shuffle_seed):
+                step += 1
+                x, y = data.features[rows], data.labels[rows]
+                try:
+                    # Phase 1: head updates from each task's own weighted loss.
+                    _, cache = forward(net, x)
+                    for t in range(num_tasks):
+                        grad_phi = np.empty(net.phi[t].size)
+                        _task_backward(net, cache, y[:, t], t, grad_phi=grad_phi)
+                        phi_grad = weights[t] * grad_phi
+                        net.phi[t][...] = _optimizer_step(
+                            net.phi[t], phi_grad, phi_states[t], lr, step
+                        )
+
+                    # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
+                    logits, cache = _heads_forward(net, cache)
+                except EvaluationError as exc:
+                    raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
+                losses = []
+                raw_grads = []
                 for t in range(num_tasks):
-                    grad_phi = np.empty(net.phi[t].size)
-                    _task_backward(net, cache, y[:, t], t, grad_phi=grad_phi)
-                    phi_grad = weights[t] * grad_phi
-                    net.phi[t][...] = _optimizer_step(net.phi[t], phi_grad, phi_states[t], lr, step)
+                    losses.append(_bce(logits[:, t], y[:, t]))
+                    raw_grads.append(np.empty(net.theta.size))
+                    _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[-1])
+                if not all(np.isfinite(losses)):
+                    raise DivergenceError(f"training diverged at step {step}: non-finite loss")
 
-                # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
-                logits, cache = _heads_forward(net, cache)
-            except EvaluationError as exc:
-                raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
-            losses = []
-            raw_grads = []
-            for t in range(num_tasks):
-                losses.append(_bce(logits[:, t], y[:, t]))
-                raw_grads.append(np.empty(net.theta.size))
-                _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[-1])
-            if not all(np.isfinite(losses)):
-                raise DivergenceError(f"training diverged at step {step}: non-finite loss")
-
-            if cfg.transference_every and step % cfg.transference_every == 0:
-                loss_fns = [theta_loss_fn(net, x, y[:, t], t) for t in range(num_tasks)]
-                log.transference.extend(
-                    measure_transference(
-                        step,
-                        net.theta,
-                        raw_grads,
-                        loss_fns,
-                        cfg.strategy.probe_gammas(num_tasks),
+                if cfg.transference_every and step % cfg.transference_every == 0:
+                    loss_fns = [theta_loss_fn(net, x, y[:, t], t) for t in range(num_tasks)]
+                    log.transference.extend(
+                        measure_transference(
+                            step,
+                            net.theta,
+                            raw_grads,
+                            loss_fns,
+                            cfg.strategy.probe_gammas(num_tasks),
+                        )
                     )
+
+                grad_fns = None
+                if cfg.strategy.kind == "cograd_exact_hvp":
+                    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(num_tasks)]
+                modified = modify_gradients(
+                    raw_grads,
+                    cfg.strategy,
+                    order_seed=cfg.seed * 1_000_003 + step,
+                    grad_fns=grad_fns,
+                    theta=net.theta,
+                    moving_norms=moving_norms,
                 )
 
-            grad_fns = None
-            if cfg.strategy.kind == "cograd_exact_hvp":
-                grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(num_tasks)]
-            modified = modify_gradients(
-                raw_grads,
-                cfg.strategy,
-                order_seed=cfg.seed * 1_000_003 + step,
-                grad_fns=grad_fns,
-                theta=net.theta,
-                moving_norms=moving_norms,
-            )
+                aggregate = np.zeros(net.theta.size)
+                for t in range(num_tasks):
+                    aggregate += weights[t] * modified[t]
+                net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
 
-            aggregate = np.zeros(net.theta.size)
-            for t in range(num_tasks):
-                aggregate += weights[t] * modified[t]
-            net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
-
-            log.add_step(StepRecord(step=step, losses=tuple(losses), cosines=pairwise_cosine(raw_grads)))
-            if cfg.eval_every and step % cfg.eval_every == 0:
-                record = evaluate_split(net, splits.val)
-                log.add_eval(EvalRecord(step=step, metric=record.metric, values=record.values))
-            if step_callback is not None:
-                step_callback(step, net)
-            if step == cfg.steps:
-                break
-        epoch += 1
+                cosines = pairwise_cosine(raw_grads)
+                log.add_step(StepRecord(step=step, losses=tuple(losses), cosines=cosines))
+                if cfg.eval_every and step % cfg.eval_every == 0:
+                    record = evaluate_split(net, splits.val, "validation")
+                    log.add_eval(EvalRecord(step=step, metric=record.metric, values=record.values))
+                if step_callback is not None:
+                    step_callback(step, net)
+                if step == cfg.steps:
+                    break
+            epoch += 1
     return net, log
 
 

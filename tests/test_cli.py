@@ -118,6 +118,75 @@ def test_overflowing_optimizer_moment_prints_only_the_error_line(tmp_path):
     ]
 
 
+def test_sgd_divergence_prints_only_the_error_line(tmp_path):
+    # numpy's overflow and invalid-value warnings used to reach stderr ahead
+    # of the error line, and the step's inf update surfaced a step later.
+    config, raw = write_config(tmp_path, strategies=[{"kind": "sum"}])
+    raw["train"].update(learning_rate=1e120, optimizer="sgd")
+    config.write_text(json.dumps(raw))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cograd", "train", str(config)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_checkout_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: run sum/seed 0: training diverged at step 1: non-finite parameter update"
+    ]
+
+
+def write_csv_config(tmp_path, grouped=False, **overrides):
+    """A config over a 240-row two-task CSV, split 4:1:1 (160, 40, 40 rows)."""
+    config, raw = write_config(tmp_path, **overrides)
+    ds = build_dataset(resolve_config(raw, tmp_path).data, 0)
+    if grouped:
+        ds = MultiTaskDataset(ds.features, ds.labels, np.arange(ds.n_rows) % 5)
+    write_csv(ds, tmp_path / "data.csv")
+    raw["data"] = {"csv": {"path": "data.csv", "n_tasks": 2, "has_group_column": grouped}}
+    config.write_text(json.dumps(raw))
+    return config, raw
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["auc", "gauc"])
+@pytest.mark.parametrize("name, first_row", [("validation", 160), ("test", 200)])
+def test_single_class_split_names_the_split_and_task(tmp_path, capsys, grouped, name, first_row):
+    config, _ = write_csv_config(tmp_path, grouped)
+    data = tmp_path / "data.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    for i in range(first_row + 1, first_row + 41):  # line 1 is the header
+        lines[i] = lines[i][: lines[i].rindex(",")] + ",0"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    why = "no group contains both classes" if grouped else (
+        "AUC needs at least one positive and one negative label"
+    )
+    assert main(["train", str(config)]) == 3
+    assert capsys.readouterr().err == f"error: {name} split, task 1: {why}\n"
+
+
+@pytest.mark.parametrize("command, jobs", [
+    ("train", "1"), ("train", "2"), ("capacity-sweep", "1"), ("capacity-sweep", "2"),
+])
+def test_command_parses_its_csv_once(tmp_path, monkeypatch, command, jobs):
+    from cograd import experiments
+
+    config, _ = write_csv_config(
+        tmp_path, strategies=[{"kind": "sum"}, {"kind": "pcgrad"}], seeds=[0, 1]
+    )
+    calls = []
+
+    def load_then_remove(path, *args):
+        calls.append(path)
+        ds = load_csv(path, *args)
+        Path(path).unlink()  # a second parse, in this process or a worker, would fail
+        return ds
+
+    monkeypatch.setattr(experiments, "load_csv", load_then_remove)
+    assert main([command, str(config), "--jobs", jobs]) == 0
+    assert calls == [tmp_path / "data.csv"]
+
+
 def test_output_dir_override(tmp_path):
     config, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"
@@ -347,6 +416,18 @@ def test_capacity_sweep_command(tmp_path, capsys):
     config, _ = write_config(tmp_path, strategies=[{"kind": "sum"}])
     assert main(["capacity-sweep", str(config)]) == 0
     assert (tmp_path / "out" / "capacity_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "capacity-sweep", "validate-approx", "probe"])
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys, command):
+    ckpt, csv_path, config = probe_fixtures(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    args = [str(ckpt), str(csv_path)] if command == "probe" else [str(config)]
+    assert main([command, *args, "--output-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {taken}: ") and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_unknown_subcommand_rejected():

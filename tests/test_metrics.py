@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cograd import (
     DataError,
@@ -124,6 +126,54 @@ def test_gauc_matches_manual_weighting_random():
         if den == 0:
             continue
         assert evaluate_gauc(scores, labels, groups) == pytest.approx(num / den, abs=1e-12)
+
+
+def per_group_gauc(scores, labels, groups):
+    """Reference: size-weighted mean of ``evaluate_auc`` over mixed-class groups."""
+    aucs, sizes = [], []
+    for g in np.unique(groups):
+        mask = groups == g
+        if labels[mask].min() == labels[mask].max():
+            continue
+        aucs.append(evaluate_auc(scores[mask], labels[mask]))
+        sizes.append(float(mask.sum()))
+    if not sizes:
+        return None
+    return float(np.dot(np.asarray(sizes) / np.sum(sizes), aucs))
+
+
+# Few distinct scores force ties within groups; infinities and NaN are kept.
+_TIED_SCORES = st.sampled_from([-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            _TIED_SCORES | st.floats(-1e6, 1e6),
+            st.sampled_from([0.0, 1.0]),
+            st.integers(0, 6),
+        ),
+        max_size=80,
+    ),
+    string_ids=st.booleans(),
+)
+def test_gauc_equals_weighted_mean_of_per_group_auc(rows, string_ids):
+    scores = np.array([r[0] for r in rows], dtype=np.float64)
+    labels = np.array([r[1] for r in rows], dtype=np.float64)
+    groups = np.array([f"u{r[2]}" if string_ids else r[2] for r in rows])
+    want = per_group_gauc(scores, labels, groups)
+    if want is None:
+        with pytest.raises(UndefinedMetricError):
+            evaluate_gauc(scores, labels, groups)
+    else:
+        got = evaluate_gauc(scores, labels, groups)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_gauc_rejects_non_binary_labels():
+    with pytest.raises(DataError):
+        evaluate_gauc(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 2.0]), np.zeros(3))
 
 
 def test_prior_weights_equal_rates():

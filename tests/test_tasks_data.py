@@ -133,6 +133,34 @@ def test_load_csv_ragged_row_names_line(tmp_path):
         load_csv(path, n_tasks=1)
 
 
+@pytest.mark.parametrize(
+    "body, has_group, message",
+    [
+        ("1.0,nan,1\n", False, "2: non-finite feature in column 2"),
+        ("u1,-inf,0.5,0\n", True, "2: non-finite feature in column 2"),
+        ("1.0,2.0,1\n3.0,Infinity,0\n", False, "3: non-finite feature in column 2"),
+        ("u1,1.0,oops,1\n", True, "2: non-numeric feature 'oops' in column 3"),
+        # The first faulty line wins, whatever its fault.
+        ("1.0,2.0,7\n1.0\n", False, "2: label must be 0 or 1, got '7' in column 3"),
+        ("1.0,2.0,1\nnan,2.0,1\nx,2.0,1\n", False, "3: non-finite feature in column 1"),
+        # Within a line: a short row, then features in column order, then labels.
+        ("nan,2\n", False, "2: expected 3 fields, got 2"),
+        ("1.0,nan,2\n", False, "2: non-finite feature in column 2"),
+        ("inf,oops,1\n", False, "2: non-finite feature in column 1"),
+        ("oops,inf,1\n", False, "2: non-numeric feature 'oops' in column 1"),
+        ("1.0,2.0,yes\n", False, "2: label must be 0 or 1, got 'yes' in column 3"),
+        ("1.0,2.0, 1\n", False, "2: label must be 0 or 1, got ' 1' in column 3"),
+    ],
+)
+def test_load_csv_error_names_first_fault(tmp_path, body, has_group, message):
+    path = tmp_path / "bad.csv"
+    header = "group_id,f0,f1,label0" if has_group else "f0,f1,label0"
+    path.write_text(f"{header}\n{body}", encoding="utf-8")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path, n_tasks=1, has_group_column=has_group)
+    assert str(exc.value) == f"{path}:{message}"
+
+
 def test_csv_round_trip_bitwise(tmp_path):
     ds = generate_synthetic(synth_cfg(n_samples=50))
     path = tmp_path / "round.csv"

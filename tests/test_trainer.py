@@ -417,7 +417,7 @@ def _two_forward_reference(net, splits, cfg, weights):
             net.theta[...] = adam_step(net.theta, aggregate, theta_state, lr)
             cosines.append(pairwise_cosine(grads))
             if step % cfg.eval_every == 0:
-                evals.append(evaluate_split(net, splits.val).values)
+                evals.append(evaluate_split(net, splits.val, "validation").values)
             if step == cfg.steps:
                 break
         epoch += 1

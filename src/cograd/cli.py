@@ -36,6 +36,17 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     return cfg
 
 
+def _job_count(text: str) -> int:
+    """``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return jobs
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     results = run_study(cfg, jobs=args.jobs)
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-offset", type=int, default=0, help="added to every configured seed"
     )
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+    jobs.add_argument("--jobs", type=_job_count, default=1, help="parallel runs (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", parents=[config, jobs], help="run a multi-strategy study")

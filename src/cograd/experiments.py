@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -446,7 +445,8 @@ def run_one(
 def _execute_runs(
     cfg: ExperimentConfig, jobs: int, parsed: MultiTaskDataset | None
 ) -> list[RunResult]:
-    """Every (strategy, seed) cell; worker processes receive ``parsed`` with their cell."""
+    """Every (strategy, seed) cell; with ``jobs`` > 1, a process pool of at most
+    one worker per cell, each worker receiving ``parsed`` with its cell."""
     cells = [
         (cfg, si, seed, cfg.output_dir, parsed)
         for si in range(len(cfg.strategies))
@@ -454,7 +454,10 @@ def _execute_runs(
     ]
     if jobs <= 1:
         return [run_one(*cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel study needs it
+
+    # The pool starts all its workers at once, so more than one per cell would idle.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(run_one, *zip(*cells)))
 
 

@@ -3,7 +3,8 @@
 Row order is the time order: splits are contiguous slices, never shuffled.
 The synthetic generator exposes one knob for task relatedness (the angle
 between the tasks' weight vectors) and one for label sparsity (per-task
-positive rates, hit by solving for the logit offset).
+positive rates, hit by solving for the logit offset with scipy's ``brentq``,
+which is imported only when synthetic data is drawn).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .errors import ConfigError, CsvParseError, DataError
@@ -132,6 +132,8 @@ def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
     identical parameters produce identical label columns. Label noise then
     flips each row with the configured probability (same rows in every task).
     """
+    from scipy.optimize import brentq  # only synthetic data needs it, and it is slow to import
+
     rng = np.random.default_rng(cfg.seed)
     features = rng.standard_normal((cfg.n_samples, cfg.n_features))
     label_latent = rng.uniform(size=cfg.n_samples)

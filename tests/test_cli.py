@@ -228,6 +228,46 @@ def test_parallel_jobs(tmp_path):
     assert (tmp_path / "out" / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("jobs, workers", [("2", 2), ("64", 4)])
+def test_worker_count_is_capped_at_the_cell_count(tmp_path, monkeypatch, jobs, workers):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        """Records its worker count and runs the cells in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config, _ = write_config(tmp_path, seeds=[0, 1])  # 2 strategies x 2 seeds
+    assert main(["train", str(config), "--jobs", jobs]) == 0
+    assert started == [workers]
+    assert (tmp_path / "out" / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "capacity-sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_2_naming_it(tmp_path, capsys, command, jobs):
+    config, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(config), "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --jobs: must be a whole number of at least 1, got '{jobs}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_approx_command(tmp_path, capsys):
     config, raw = write_config(tmp_path)
     raw["validate"] = {"checkpoints": [0, 3]}
@@ -473,6 +513,44 @@ def test_console_script_help():
 
 def test_python_m_cograd_help():
     _assert_help_lists_subcommands([sys.executable, "-m", "cograd", "--help"], _checkout_env())
+
+
+# Modules that take a large share of start-up time and serve one code path each.
+# The ``concurrent.futures`` package itself comes with ``scipy.special`` (through
+# ``numpy.testing``); its process pool, which loads ``multiprocessing``, does not.
+_SLOW_IMPORTS = ("scipy.stats", "scipy.optimize", "concurrent.futures.process")
+_REPORT_IMPORTS = (
+    "import sys\n"
+    "from cograd.cli import main\n"
+    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    f"print(sorted(m for m in {_SLOW_IMPORTS!r} if m in sys.modules))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("import", []), ("train-csv", []), ("probe-csv", []), ("train-synthetic", ["scipy.optimize"])],
+)
+def test_command_imports_only_what_it_runs(tmp_path, command, loaded):
+    if command == "train-csv":
+        argv = ["train", str(write_csv_config(tmp_path)[0])]
+    elif command == "probe-csv":
+        ckpt, csv_path, _ = probe_fixtures(tmp_path)
+        argv = ["probe", str(ckpt), str(csv_path)]
+    elif command == "train-synthetic":
+        argv = ["train", str(write_config(tmp_path)[0])]
+    else:
+        argv = []
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_IMPORTS, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 def test_console_script_runs_train(tmp_path):

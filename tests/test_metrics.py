@@ -171,6 +171,38 @@ def test_gauc_equals_weighted_mean_of_per_group_auc(rows, string_ids):
         assert got == want or (np.isnan(got) and np.isnan(want))
 
 
+def rankdata_auc(scores, labels):
+    """Reference: the rank-sum formula over ``scipy.stats.rankdata`` mid-ranks,
+    whose default NaN policy makes every rank NaN."""
+    from scipy.stats import rankdata
+
+    n_pos = int(np.sum(labels))
+    n_neg = labels.size - n_pos
+    ranks = rankdata(scores, method="average")
+    return float((np.sum(ranks[labels == 1.0]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_TIED_SCORES | st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0])),
+        min_size=2,
+        max_size=80,
+    )
+)
+def test_auc_equals_rankdata_formula_bitwise(rows):
+    scores = np.array([r[0] for r in rows], dtype=np.float64)
+    labels = np.array([r[1] for r in rows], dtype=np.float64)
+    labels[:2] = [0.0, 1.0]  # both classes, so the AUC is defined
+    got, want = evaluate_auc(scores, labels), rankdata_auc(scores, labels)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_auc_nan_score_gives_nan():
+    assert np.isnan(evaluate_auc(np.array([0.1, np.nan, 0.7, 0.3]), np.array([0.0, 1.0, 1.0, 0.0])))
+    assert np.isnan(evaluate_auc(np.array([np.nan, 0.2]), np.array([0.0, 1.0])))
+
+
 def test_gauc_rejects_non_binary_labels():
     with pytest.raises(DataError):
         evaluate_gauc(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 2.0]), np.zeros(3))

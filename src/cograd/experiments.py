@@ -71,7 +71,9 @@ def _read(
 
 
 def _int(value: Any) -> int:
-    """``int(value)``, refusing to truncate a fractional number."""
+    """``int(value)``, refusing a boolean and truncation of a fractional number."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
     number = int(value)
     if isinstance(value, float) and number != value:
         raise ValueError("not an integer")
@@ -95,7 +97,9 @@ def _ints(values: Any) -> tuple[int, ...]:
 
 
 def _float(value: Any) -> float:
-    """``float(value)``, refusing NaN and infinities."""
+    """``float(value)``, refusing a boolean, NaN and infinities."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
     number = float(value)
     if not np.isfinite(number):
         raise ValueError("not a finite number")
@@ -314,6 +318,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: not readable: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:

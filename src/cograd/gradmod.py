@@ -11,11 +11,14 @@ parameters:
 - ``pcgrad_modify``: project conflicting gradients onto partner normal planes.
 - ``magnitude_balance``: scale gradients toward the anchor task's moving norm.
 
-Every modified gradient is computed from the original (pre-modification)
-gradients simultaneously; only pcgrad is sequential, following its source
-method. Gradients are plain float64 vectors and are never mutated; the only
-state a strategy keeps between steps, magnitude balancing's moving norms, is
-an array owned by the caller's run.
+The T per-task gradients over the P shared parameters are one (T, P) float64
+array, row t being task t's gradient; every strategy also accepts a sequence
+of equal-length vectors, reads it as that array, and returns a new (T, P)
+array. Every modified gradient is computed from the original
+(pre-modification) gradients simultaneously; only pcgrad is sequential,
+following its source method. Inputs are never mutated; the only state a
+strategy keeps between steps, magnitude balancing's moving norms, is an array
+owned by the caller's run.
 """
 
 from __future__ import annotations
@@ -98,11 +101,16 @@ def _values(grad) -> np.ndarray:
     return np.asarray(grad, dtype=np.float64)
 
 
-def _check_equal_lengths(vectors: Sequence[np.ndarray]) -> int:
-    sizes = {v.size for v in vectors}
+def _matrix(grads) -> np.ndarray:
+    """``grads`` as one (T, P) float64 array: a 2-D array as given (uncopied
+    when already float64), or a sequence of equal-length vectors stacked."""
+    if isinstance(grads, np.ndarray) and grads.ndim == 2:
+        return grads.astype(np.float64, copy=False)
+    rows = [_values(g).ravel() for g in grads]
+    sizes = sorted({r.size for r in rows})
     if len(sizes) > 1:
-        raise DimensionError(f"gradient lengths differ: {sorted(sizes)}")
-    return vectors[0].size if vectors else 0
+        raise DimensionError(f"gradient lengths differ: {sizes}")
+    return np.array(rows).reshape(len(rows), sizes[0] if sizes else 0)
 
 
 def transfer_exact(
@@ -175,74 +183,63 @@ def approx_hvp(g_owner, direction, lam: float = 1.0) -> np.ndarray:
     return lam * go * go * d
 
 
-def cograd_modify(grads: Sequence, cfg: StrategyConfig) -> list[np.ndarray]:
+def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
     """Transference-raising modification g_i - sum_{j!=i} gamma_j*lam*g_i(.)g_i(.)g_j.
 
-    All outputs are computed from the original gradients simultaneously.
-    With every gamma zero, or a single task, the output is a bitwise copy of
-    the input.
+    All rows come from the original gradients simultaneously, as
+    G - lam*G(.)G(.)(W @ G) with W = gamma (.) (1 - I). With every gamma
+    zero, or a single task, the output is a bitwise copy of the input.
     """
-    cfg.check_tasks(len(grads))
-    values = [_values(g) for g in grads]
-    _check_equal_lengths(values)
+    G = _matrix(grads)
+    cfg.check_tasks(len(G))
     # Null cases return untouched copies so downstream arithmetic is bitwise
     # identical to the plain sum baseline.
-    if len(grads) == 1 or all(g == 0.0 for g in cfg.gammas):
-        return [v.copy() for v in values]
-    out = []
-    for i, gi in enumerate(values):
-        correction = np.zeros_like(gi)
-        for j, gj in enumerate(values):
-            if j != i and cfg.gammas[j] != 0.0:
-                correction += cfg.gammas[j] * gj
-        out.append(gi - approx_hvp(gi, correction, cfg.lam))
-    return out
+    if len(G) == 1 or all(g == 0.0 for g in cfg.gammas):
+        return G.copy()
+    pull = (np.asarray(cfg.gammas) * (1.0 - np.eye(len(G)))) @ G
+    return G - cfg.lam * G * G * pull
 
 
 def cograd_modify_exact_hvp(
-    grads: Sequence,
+    grads,
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     theta,
     cfg: StrategyConfig,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
 
     H_i g_j comes from central differences of task i's gradient function, so
     a step costs two gradient evaluations per ordered task pair, whatever the
     trunk size.
     """
-    cfg.check_tasks(len(grads))
-    if len(grad_fns) != len(grads):
-        raise DimensionError(f"{len(grads)} gradients but {len(grad_fns)} gradient functions")
+    G = _matrix(grads)
+    cfg.check_tasks(len(G))
+    if len(grad_fns) != len(G):
+        raise DimensionError(f"{len(G)} gradients but {len(grad_fns)} gradient functions")
     th = _values(theta)
-    values = [_values(g) for g in grads]
-    _check_equal_lengths(values)
-    if len(grads) == 1 or all(g == 0.0 for g in cfg.gammas):
-        return [v.copy() for v in values]
-    out = []
-    for i, gi in enumerate(values):
-        modified = gi.copy()
-        for j, gj in enumerate(values):
+    out = G.copy()
+    # A central difference is not linear in its direction, so each ordered
+    # pair takes its own product.
+    for i in range(len(G)):
+        for j in range(len(G)):
             if j != i and cfg.gammas[j] != 0.0:
-                modified -= cfg.gammas[j] * finite_diff_hvp(grad_fns[i], th, gj)
-        out.append(modified)
+                out[i] -= cfg.gammas[j] * finite_diff_hvp(grad_fns[i], th, G[j])
     return out
 
 
 def pcgrad_modify(
-    grads: Sequence,
+    grads,
     order_seed: int | None = None,
     order: Sequence[int] | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Sequentially project each gradient off conflicting partners.
 
     Task i's gradient is projected onto the normal plane of every original
     partner gradient it conflicts with (negative inner product), in a seeded
     random task order; ``order`` pins the traversal explicitly instead.
     """
-    values = [_values(g) for g in grads]
-    _check_equal_lengths(values)
-    n = len(values)
+    G = _matrix(grads)
+    n = len(G)
     if order is not None:
         traversal = np.asarray(order, dtype=int)
         if sorted(traversal.tolist()) != list(range(n)):
@@ -251,13 +248,13 @@ def pcgrad_modify(
         traversal = np.random.default_rng(order_seed).permutation(n)
     else:
         traversal = np.arange(n)
-    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    out = np.empty_like(G)
     for i in traversal:
-        projected = values[i].copy()
+        projected = G[i].copy()
         for j in traversal:
             if j == i:
                 continue
-            partner = values[j]  # original gradient, never the projected one
+            partner = G[j]  # original gradient, never the projected one
             dot = float(np.dot(projected, partner))
             if dot < 0.0:
                 norm_sq = float(np.dot(partner, partner))
@@ -270,9 +267,7 @@ def pcgrad_modify(
     return out
 
 
-def magnitude_balance(
-    grads: Sequence, cfg: StrategyConfig, moving_norms: np.ndarray
-) -> list[np.ndarray]:
+def magnitude_balance(grads, cfg: StrategyConfig, moving_norms: np.ndarray) -> np.ndarray:
     """Scale non-anchor gradients toward the anchor task's moving-average norm.
 
     ``moving_norms`` holds one running norm per task, zeros at the start of a
@@ -280,53 +275,48 @@ def magnitude_balance(
     scaling. Each task t > 0 is scaled by (m_0 / m_t)^relax; task 0 is the
     anchor and passes through unscaled.
     """
-    values = [_values(g) for g in grads]
-    _check_equal_lengths(values)
-    n = len(values)
-    if moving_norms.shape != (n,):
-        raise DimensionError(f"moving norms track {moving_norms.size} tasks, got {n} gradients")
-    norms = np.array([float(np.linalg.norm(v)) for v in values])
+    G = _matrix(grads)
+    if moving_norms.shape != (len(G),):
+        raise DimensionError(
+            f"moving norms track {moving_norms.size} tasks, got {len(G)} gradients"
+        )
+    # Per-row norms: np.linalg.norm(G, axis=1) rounds differently.
     moving_norms *= 0.9
-    moving_norms += 0.1 * norms
-    out = [values[0].copy()]
-    for t in range(1, n):
+    moving_norms += 0.1 * np.array([np.linalg.norm(g) for g in G])
+    for t in range(1, len(G)):
         if moving_norms[t] == 0.0:
             raise DegenerateGradientError(f"task {t} has zero moving-average gradient norm")
-        scale = (moving_norms[0] / moving_norms[t]) ** cfg.relax
-        out.append(values[t] * scale)
-    return out
+    # Scalar powers: numpy's array power rounds differently in some last bits.
+    scales = [1.0] + [(moving_norms[0] / m) ** cfg.relax for m in moving_norms[1:]]
+    return G * np.array(scales)[:, None]
 
 
-def pairwise_cosine(grads: Sequence) -> np.ndarray:
-    """Cosine similarity matrix; entries with a zero-norm operand are 0."""
-    values = [_values(g) for g in grads]
-    _check_equal_lengths(values)
-    n = len(values)
-    norms = [float(np.linalg.norm(v)) for v in values]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if norms[i] > 0.0 and norms[j] > 0.0:
-                out[i, j] = float(np.dot(values[i], values[j])) / (norms[i] * norms[j])
-    return out
+def pairwise_cosine(grads) -> np.ndarray:
+    """Cosine similarity matrix from the Gram matrix G @ G.T; entries with a
+    zero-norm operand are 0."""
+    G = _matrix(grads)
+    gram = G @ G.T
+    norms = np.sqrt(np.diag(gram))
+    denominators = np.outer(norms, norms)
+    return np.divide(gram, denominators, out=np.zeros_like(gram), where=denominators > 0.0)
 
 
 def modify_gradients(
-    grads: Sequence,
+    grads,
     cfg: StrategyConfig,
     order_seed: int | None = None,
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     theta=None,
     moving_norms: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Dispatch to the strategy named by ``cfg.kind``.
+) -> np.ndarray:
+    """Dispatch to the strategy named by ``cfg.kind``; returns a new (T, P) array.
 
     ``order_seed`` feeds pcgrad's traversal; ``grad_fns`` and ``theta`` are
     required by the exact-HVP variant only, and ``moving_norms`` (the run's
     state, updated in place) by magnitude balancing only.
     """
     if cfg.kind == "sum":
-        return [_values(g).copy() for g in grads]
+        return _matrix(grads).copy()
     if cfg.kind == "cograd":
         return cograd_modify(grads, cfg)
     if cfg.kind == "cograd_exact_hvp":

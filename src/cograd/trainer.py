@@ -4,10 +4,11 @@ One training step on a batch runs the trunk forward once:
 
 1. update each task head from its own weighted loss gradient (heads only),
 2. re-run the heads on the cached trunk activations, then take one trunk
-   backward pass per task for its gradient over the shared trunk,
-3. pass those through the configured gradient strategy,
-4. apply one optimizer step to the trunk on the weighted sum of the
-   modified gradients.
+   backward pass per task, writing task t's gradient over the P shared
+   parameters into row t of one (T, P) array,
+3. pass that array through the configured gradient strategy, which returns
+   the modified gradients as another (T, P) array,
+4. apply one optimizer step to the trunk on the weighted sum of its rows.
 
 Head updates never see the strategy: gradient coordination acts on shared
 parameters only. Everything a run updates (optimizer moments, magnitude
@@ -270,11 +271,10 @@ def train(
                 except EvaluationError as exc:
                     raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
                 losses = []
-                raw_grads = []
+                raw_grads = np.empty((num_tasks, net.theta.size))
                 for t in range(num_tasks):
                     losses.append(_bce(logits[:, t], y[:, t]))
-                    raw_grads.append(np.empty(net.theta.size))
-                    _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[-1])
+                    _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[t])
                 if not all(np.isfinite(losses)):
                     raise DivergenceError(f"training diverged at step {step}: non-finite loss")
 
@@ -302,9 +302,7 @@ def train(
                     moving_norms=moving_norms,
                 )
 
-                aggregate = np.zeros(net.theta.size)
-                for t in range(num_tasks):
-                    aggregate += weights[t] * modified[t]
+                aggregate = (weights[:, None] * modified).sum(axis=0)
                 net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
 
                 cosines = pairwise_cosine(raw_grads)

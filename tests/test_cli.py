@@ -361,6 +361,21 @@ def test_non_utf8_input_exits_2_naming_it(tmp_path, capsys, which):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("command", ["train", "validate-approx", "capacity-sweep", "probe"])
+def test_directory_as_config_exits_2_naming_it(tmp_path, capsys, command):
+    config_dir = tmp_path / "folder.json"
+    config_dir.mkdir()
+    if command == "probe":
+        ckpt, _, _ = probe_fixtures(tmp_path)
+        argv = ["probe", str(ckpt), str(config_dir)]
+    else:
+        argv = [command, str(config_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(config_dir) in err
+    assert "not readable" in err
+
+
 def _nan_first_weight(ckpt):
     ckpt["shared"][0]["weights"][0][0] = float("nan")
 

@@ -159,11 +159,24 @@ def test_error_paths_name_offending_field(tmp_path):
         ("train.learning_rate", NAN),
         ("train.learning_rate", INF),
         ("train.loss_weights", [NAN, 1.0]),
+        # JSON true is not the number 1: "steps": true would train one step.
+        ("train.steps", True),
+        ("train.batch_size", True),
+        ("train.eval_every", False),
+        ("train.learning_rate", True),
+        ("seeds", [True]),
+        ("model.shared_widths", [8, True]),
+        ("data.synthetic.label_noise", False),
     ]:
         raw = with_field(base_config(validate={}, probe={}), field, value)
         with pytest.raises(ConfigError, match=field):
             resolve_config(raw, tmp_path)
-    for key, value in [("gammas", [NAN, 1.0]), ("lambda", NAN), ("lambda", INF)]:
+    for key, value in [
+        ("gammas", [NAN, 1.0]),
+        ("lambda", NAN),
+        ("lambda", INF),
+        ("gammas", [0.05, True]),
+    ]:
         raw = with_field(base_config(), f"strategies.1.{key}", value)
         with pytest.raises(ConfigError, match=rf"strategies\[1\]\.{key}"):
             resolve_config(raw, tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cograd import (
+    STRATEGY_KINDS,
     ConfigError,
     DegenerateGradientError,
     DimensionError,
@@ -196,6 +197,17 @@ def test_cograd_lambda_scales_correction():
     base = cograd_modify([g1, g2], cfg(gammas=(0.0, 0.1), lam=1.0))
     double = cograd_modify([g1, g2], cfg(gammas=(0.0, 0.1), lam=2.0))
     assert np.allclose(g1 - double[0], 2.0 * (g1 - base[0]))
+
+
+def test_cograd_two_tasks_bitwise_the_per_pair_formula():
+    # At T = 2 each row's pull is one partner's gamma-weighted gradient, so
+    # the matrix form rounds exactly as g_i - lam * g_i * g_i * (gamma_j * g_j).
+    rng = np.random.default_rng(13)
+    g0, g1 = rng.standard_normal(50), rng.standard_normal(50)
+    gammas, lam = (0.3, 1.7), 0.9
+    out = cograd_modify(np.stack([g0, g1]), cfg(gammas=gammas, lam=lam))
+    assert np.array_equal(out[0], g0 - lam * g0 * g0 * (gammas[1] * g1))
+    assert np.array_equal(out[1], g1 - lam * g1 * g1 * (gammas[0] * g0))
 
 
 def test_cograd_gamma_count_checked():
@@ -425,3 +437,62 @@ def test_measure_transference_covers_ordered_pairs():
     assert [(r.source_task, r.target_task) for r in records] == [(0, 1), (1, 0)]
     assert all(r.step == 3 for r in records)
     assert records[0].exact_delta == pytest.approx(0.095, abs=1e-12)
+
+
+def _strategy_call(kind, num_tasks, size):
+    """A call of ``modify_gradients`` for ``kind`` on ``num_tasks`` quadratic tasks."""
+    curvatures = np.random.default_rng(14).uniform(0.5, 2.0, size=(num_tasks, size))
+    strategy = StrategyConfig(kind=kind, gammas=(0.3, 0.1, 0.2)[:num_tasks], relax=0.5)
+
+    def call(grads):
+        return modify_gradients(
+            grads,
+            strategy,
+            order_seed=7,
+            grad_fns=[lambda v, h=h: h * v for h in curvatures],
+            theta=np.linspace(-1.0, 1.0, size),
+            moving_norms=np.zeros(num_tasks),
+        )
+
+    return call
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_modify_gradients_returns_one_task_by_parameter_array(kind):
+    grads = [np.array([1.0, -2.0, 0.5]), np.array([-1.0, 1.0, 2.0])]
+    out = _strategy_call(kind, 2, 3)(grads)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == (2, 3) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("num_tasks", [2, 3])
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_list_and_matrix_inputs_give_bitwise_equal_output(kind, num_tasks):
+    rng = np.random.default_rng(15)
+    matrix = rng.standard_normal((num_tasks, 11))
+    before = matrix.copy()
+    call = _strategy_call(kind, num_tasks, 11)
+    from_list = call([row.copy() for row in matrix])
+    from_matrix = call(matrix)
+    assert np.array_equal(from_list, from_matrix)
+    assert from_matrix is not matrix and np.array_equal(matrix, before)
+
+
+RAGGED = [np.ones(3), np.ones(4)]
+
+
+@pytest.mark.parametrize(
+    "modify",
+    [
+        lambda g: modify_gradients(g, StrategyConfig(kind="sum")),
+        lambda g: cograd_modify(g, cfg(gammas=(0.1, 0.1))),
+        lambda g: cograd_modify_exact_hvp(g, [lambda v: v] * 2, np.ones(3), cfg()),
+        lambda g: pcgrad_modify(g, order_seed=0),
+        lambda g: magnitude_balance(g, cfg(kind="magnitude_balance", gammas=()), np.zeros(2)),
+        pairwise_cosine,
+    ],
+    ids=["sum", "cograd", "cograd_exact_hvp", "pcgrad", "magnitude_balance", "pairwise_cosine"],
+)
+def test_ragged_gradients_raise_dimension_error_naming_lengths(modify):
+    with pytest.raises(DimensionError, match=r"gradient lengths differ: \[3, 4\]"):
+        modify(RAGGED)

@@ -9,7 +9,8 @@ plain-sum baseline.
 Per-seed derivation keeps comparisons paired: run seed s regenerates the
 synthetic dataset with ``data seed + s``, initializes the net with
 ``model seed + s``, and drives batching with s itself, so every strategy
-sees identical data and initialization at the same s.
+sees identical data and initialization at the same s. A CSV is parsed
+once, when its config is resolved, and every run trains on those rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -194,6 +195,8 @@ class DataConfig:
     csv_has_group: bool
     n_tasks: int
     split: tuple[float, float, float]
+    # A CSV's rows, parsed by ``resolve_config``; a config's equality ignores them.
+    dataset: MultiTaskDataset | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,10 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
 
 
 def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    """Validate a parsed config dict; errors name the offending field path."""
+    """Validate a parsed config dict; errors name the offending field path.
+
+    A CSV data section is parsed last, once every other field is valid.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(
@@ -292,24 +298,30 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
             s.check_tasks(data.n_tasks)
         except ConfigError as exc:
             raise ConfigError(f"strategies[{i}].{exc}") from None
+    train = _section(raw["train"], "train", TrainConfig, _TRAIN_FIELDS, strategy=strategies[0])
 
     checkpoints: tuple[int, ...] = ()
     if "validate" in raw:
         _reject_unknown(raw["validate"], ("checkpoints",), "validate")
         checkpoints = _read(raw["validate"], "checkpoints", "validate", _ints, ())
-        if any(c < 0 for c in checkpoints):
-            raise ConfigError("validate.checkpoints: steps must be non-negative")
+        outside = [c for c in checkpoints if not 0 <= c <= train.steps]
+        if outside:
+            raise ConfigError(f"validate.checkpoints: step {outside[0]} is not in 0..{train.steps}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         data=data,
         model=_section(raw["model"], "model", ModelConfig, _MODEL_FIELDS),
-        train=_section(raw["train"], "train", TrainConfig, _TRAIN_FIELDS, strategy=strategies[0]),
+        train=train,
         strategies=strategies,
         seeds=_read(raw, "seeds", "config", _ints),
         output_dir=base_dir / _read(raw, "output_dir", "config", Path),  # an absolute path stays
         validate_checkpoints=checkpoints,
         probe=_section(raw.get("probe", {}), "probe", ProbeConfig, _PROBE_FIELDS),
     )
+    if data.csv_path is None:
+        return cfg
+    dataset = load_csv(data.csv_path, data.n_tasks, data.csv_has_group)
+    return dataclasses.replace(cfg, data=dataclasses.replace(data, dataset=dataset))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -350,22 +362,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _parse_csv(data: DataConfig) -> MultiTaskDataset | None:
-    """A CSV data section's dataset, parsed once per command; None for synthetic data."""
-    if data.csv_path is None:
-        return None
-    return load_csv(data.csv_path, data.n_tasks, data.csv_has_group)
-
-
-def build_dataset(
-    data: DataConfig, run_seed: int, parsed: MultiTaskDataset | None = None
-) -> MultiTaskDataset:
+def build_dataset(data: DataConfig, run_seed: int) -> MultiTaskDataset:
     """Dataset for one run; synthetic data is re-drawn per run seed, and a
-    CSV is read from its file unless its ``parsed`` dataset is given."""
+    CSV's dataset is the one parsed when its config was resolved."""
     if data.synthetic is not None:
         cfg = dataclasses.replace(data.synthetic, seed=data.synthetic.seed + run_seed)
         return generate_synthetic(cfg)
-    return parsed if parsed is not None else _parse_csv(data)
+    return data.dataset
 
 
 @dataclass
@@ -374,17 +377,16 @@ class RunResult:
     seed: int
     metric: str
     test_values: tuple[float, ...]
-    val_values: tuple[float, ...]
     theta_params: int
     wall_time_s: float
-    run_dir: Path | None
+    run_dir: Path
 
 
 def _cell(
-    cfg: ExperimentConfig, strategy_idx: int, seed: int, parsed: MultiTaskDataset | None = None
+    cfg: ExperimentConfig, strategy_idx: int, seed: int
 ) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
     """The splits, initial net and training settings of one (strategy, seed) cell."""
-    ds = build_dataset(cfg.data, seed, parsed)
+    ds = build_dataset(cfg.data, seed)
     net = init_net(
         input_dim=ds.n_features,
         shared_widths=list(cfg.model.shared_widths),
@@ -396,16 +398,10 @@ def _cell(
     return split(ds, cfg.data.split), net, train_cfg
 
 
-def run_one(
-    cfg: ExperimentConfig,
-    strategy_idx: int,
-    seed: int,
-    output_root: Path | None = None,
-    parsed: MultiTaskDataset | None = None,
-) -> RunResult:
-    """Train one (strategy, seed) cell and write its artifacts."""
+def run_one(cfg: ExperimentConfig, strategy_idx: int, seed: int) -> RunResult:
+    """Train one (strategy, seed) cell and write its artifacts under ``cfg.output_dir``."""
     label = cfg.strategy_labels[strategy_idx]
-    splits, net, train_cfg = _cell(cfg, strategy_idx, seed, parsed)
+    splits, net, train_cfg = _cell(cfg, strategy_idx, seed)
     theta_params = net.theta.size
     started = time.perf_counter()
     try:
@@ -417,54 +413,32 @@ def run_one(
     final_val = evaluate_split(net, splits.val, "validation")
     final_test = evaluate_split(net, splits.test, "test")
 
-    run_dir = None
-    if output_root is not None:
-        run_dir = output_root / label / str(seed)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        save_net(net, run_dir / "checkpoint.json")
-        save_metrics(log, run_dir)
-        summary = {
-            "strategy": label,
-            "seed": seed,
-            "metric": final_test.metric,
-            "final_test": {f"task_{t}": v for t, v in enumerate(final_test.values)},
-            "final_val": {f"task_{t}": v for t, v in enumerate(final_val.values)},
-            "theta_params": theta_params,
-            "wall_time_s": wall,
-            "config": config_to_dict(cfg),
-        }
-        (run_dir / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
-        )
+    run_dir = cfg.output_dir / label / str(seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    save_net(net, run_dir / "checkpoint.json")
+    save_metrics(log, run_dir)
+    summary = {
+        "strategy": label,
+        "seed": seed,
+        "metric": final_test.metric,
+        "final_test": {f"task_{t}": v for t, v in enumerate(final_test.values)},
+        "final_val": {f"task_{t}": v for t, v in enumerate(final_val.values)},
+        "theta_params": theta_params,
+        "wall_time_s": wall,
+        "config": config_to_dict(cfg),
+    }
+    (run_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
+    )
     return RunResult(
         strategy_label=label,
         seed=seed,
         metric=final_test.metric,
         test_values=final_test.values,
-        val_values=final_val.values,
         theta_params=theta_params,
         wall_time_s=wall,
         run_dir=run_dir,
     )
-
-
-def _execute_runs(
-    cfg: ExperimentConfig, jobs: int, parsed: MultiTaskDataset | None
-) -> list[RunResult]:
-    """Every (strategy, seed) cell; with ``jobs`` > 1, a process pool of at most
-    one worker per cell, each worker receiving ``parsed`` with its cell."""
-    cells = [
-        (cfg, si, seed, cfg.output_dir, parsed)
-        for si in range(len(cfg.strategies))
-        for seed in cfg.seeds
-    ]
-    if jobs <= 1:
-        return [run_one(*cell) for cell in cells]
-    from concurrent.futures import ProcessPoolExecutor  # only a parallel study needs it
-
-    # The pool starts all its workers at once, so more than one per cell would idle.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return list(pool.map(run_one, *zip(*cells)))
 
 
 def _write_comparison(
@@ -505,13 +479,20 @@ def _make_output_dir(path: Path) -> None:
         raise InputError(f"output directory {path}: {exc.strerror}") from None
 
 
-def run_study(
-    cfg: ExperimentConfig, jobs: int = 1, parsed: MultiTaskDataset | None = None
-) -> list[RunResult]:
-    """All (strategy x seed) runs plus the top-level comparison table; a CSV
-    dataset is parsed here unless given as ``parsed``."""
+def run_study(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
+    """All (strategy x seed) runs plus the top-level comparison table; with
+    ``jobs`` > 1, a process pool of at most one worker per cell runs them,
+    each worker receiving ``cfg``, CSV dataset included."""
     _make_output_dir(cfg.output_dir)
-    results = _execute_runs(cfg, jobs, parsed if parsed is not None else _parse_csv(cfg.data))
+    cells = [(cfg, si, seed) for si in range(len(cfg.strategies)) for seed in cfg.seeds]
+    if jobs <= 1:
+        results = [run_one(*cell) for cell in cells]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel study needs it
+
+        # The pool starts all its workers at once, so more than one per cell would idle.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            results = list(pool.map(run_one, *zip(*cells)))
     _write_comparison(
         results, cfg.strategy_labels, cfg.data.n_tasks, cfg.output_dir / "comparison.csv"
     )
@@ -636,7 +617,6 @@ def run_capacity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> Path:
     widths = cfg.model.shared_widths
     variants = [("base", widths), ("doubled", (2 * widths[0],) + widths[1:])]
     _make_output_dir(cfg.output_dir)
-    parsed = _parse_csv(cfg.data)
     all_results = {
         name: run_study(
             dataclasses.replace(
@@ -645,7 +625,6 @@ def run_capacity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> Path:
                 output_dir=cfg.output_dir / name,
             ),
             jobs,
-            parsed,
         )
         for name, shared in variants
     }

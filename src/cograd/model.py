@@ -364,21 +364,29 @@ def _task_backward(
         )
 
 
+def _task_probe(
+    net: SharedBottomNet, features: np.ndarray, labels: np.ndarray, task: int
+) -> tuple[SharedBottomNet, np.ndarray, np.ndarray]:
+    """A private one-head net (the trunk plus head ``task``) and the checked batch."""
+    if not 0 <= task < net.num_tasks:
+        raise DimensionError(f"task_id {task} out of range")
+    x = _features(net, features)
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if y.size != x.shape[0]:
+        raise DimensionError(f"{y.size} labels for batch of {x.shape[0]}")
+    return SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[task]]), x, y
+
+
 def theta_loss_fn(
     net: SharedBottomNet, features: np.ndarray, labels: np.ndarray, task: int
 ) -> Callable[[np.ndarray], float]:
-    """Task loss as a function of the flat shared-parameter vector.
-
-    Heads and batch stay fixed; evaluations run on a private copy of the net.
-    """
-    probe = net.copy()
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    """Task loss as a function of the flat shared vector, from head ``task`` only."""
+    probe, x, y = _task_probe(net, features, labels, task)
 
     def fn(theta: np.ndarray) -> float:
         probe.set_theta(theta)
         logits, _ = forward(probe, x)
-        return task_loss(logits[:, task], y)
+        return task_loss(logits[:, 0], y)
 
     return fn
 
@@ -387,13 +395,7 @@ def theta_grad_fn(
     net: SharedBottomNet, features: np.ndarray, labels: np.ndarray, task: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Analytic trunk gradient as a function of the flat shared vector, from head ``task`` only."""
-    if not 0 <= task < net.num_tasks:
-        raise DimensionError(f"task_id {task} out of range")
-    probe = SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[task]])
-    x = _features(net, features)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if y.size != x.shape[0]:
-        raise DimensionError(f"{y.size} labels for batch of {x.shape[0]}")
+    probe, x, y = _task_probe(net, features, labels, task)
 
     def fn(theta: np.ndarray) -> np.ndarray:
         probe.set_theta(theta)

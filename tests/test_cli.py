@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -187,6 +188,38 @@ def test_command_parses_its_csv_once(tmp_path, monkeypatch, command, jobs):
     assert calls == [tmp_path / "data.csv"]
 
 
+@pytest.mark.parametrize("command", ["validate-approx", "probe"])
+def test_config_argument_parses_its_csv_once(tmp_path, monkeypatch, command):
+    from cograd import experiments
+
+    config, _ = write_csv_config(tmp_path, strategies=[{"kind": "sum"}])
+    argv = ["validate-approx", str(config)]
+    if command == "probe":
+        assert main(["train", str(config)]) == 0
+        argv = ["probe", str(tmp_path / "out" / "sum" / "0" / "checkpoint.json"), str(config)]
+    calls = []
+
+    def load_then_remove(path, *args):
+        calls.append(path)
+        ds = load_csv(path, *args)
+        Path(path).unlink()  # a second parse would fail
+        return ds
+
+    monkeypatch.setattr(experiments, "load_csv", load_then_remove)
+    assert main(argv) == 0
+    assert calls == [tmp_path / "data.csv"]
+
+
+def test_malformed_csv_exits_2_before_the_output_directory_exists(tmp_path, capsys):
+    config, _ = write_csv_config(tmp_path)
+    with open(tmp_path / "data.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,2\n")
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'data.csv'}:242: expected 8 fields, got 2\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_override(tmp_path):
     config, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"
@@ -277,12 +310,46 @@ def test_validate_approx_command(tmp_path, capsys):
     assert (tmp_path / "out" / "validate_approx.csv").exists()
 
 
+def test_validate_checkpoint_past_the_last_step_exits_2_naming_it(tmp_path, capsys):
+    config, raw = write_config(tmp_path)  # 6 steps
+    raw["validate"] = {"checkpoints": [3, 5000]}
+    config.write_text(json.dumps(raw))
+    assert main(["validate-approx", str(config)]) == 2
+    assert capsys.readouterr().err == "error: validate.checkpoints: step 5000 is not in 0..6\n"
+    assert not (tmp_path / "out").exists()
+    raw["validate"] = {"checkpoints": [3, 6]}  # the last step is a checkpoint
+    config.write_text(json.dumps(raw))
+    assert main(["validate-approx", str(config)]) == 0
+    rows = (tmp_path / "out" / "validate_approx.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[0]) for row in rows}) == [3, 6]
+
+
+def test_four_task_study_measures_every_ordered_pair(tmp_path):
+    config, raw = write_config(tmp_path)
+    raw["data"]["synthetic"]["positive_rates"] = [0.5, 0.4, 0.6, 0.5]
+    raw["train"].update(loss_weights=[1.0] * 4, transference_every=2)
+    gammas = [0.05] * 4
+    raw["strategies"] = [
+        {"kind": "sum"},
+        {"kind": "cograd", "gammas": gammas},
+        {"kind": "cograd_exact_hvp", "gammas": gammas},
+        {"kind": "pcgrad"},
+        {"kind": "magnitude_balance"},
+    ]
+    config.write_text(json.dumps(raw))
+    assert main(["train", str(config)]) == 0
+    for strategy in raw["strategies"]:
+        path = tmp_path / "out" / strategy["kind"] / "0" / "metrics_transference.csv"
+        steps = [int(row.split(",")[0]) for row in path.read_text().splitlines()[1:]]
+        assert steps == [2] * 12 + [4] * 12 + [6] * 12, strategy["kind"]
+
+
 def probe_fixtures(tmp_path):
     config, raw = write_config(tmp_path)
     raw["data"]["synthetic"]["task_angle_deg"] = 0.0
     config.write_text(json.dumps(raw))
     cfg = resolve_config(raw, tmp_path)
-    run_one(cfg, 0, 0, tmp_path / "runs")
+    run_one(dataclasses.replace(cfg, output_dir=tmp_path / "runs"), 0, 0)
     ckpt = tmp_path / "runs" / "sum" / "0" / "checkpoint.json"
     csv_path = tmp_path / "probe.csv"
     write_csv(build_dataset(cfg.data, 0), csv_path)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cograd import (
     ConfigError,
+    CsvParseError,
     ProbeConfig,
     TrainConfig,
     build_dataset,
@@ -128,6 +129,7 @@ def test_error_paths_name_offending_field(tmp_path):
         ("seeds", ["a"]),
         ("strategies", 5),
         ("validate.checkpoints", 3),
+        ("validate.checkpoints", [4, 5000]),  # past train.steps (8)
         ("model.seed", 1.5),
         ("train.steps", 2.5),
         ("train.batch_size", 40.5),
@@ -303,6 +305,35 @@ def test_csv_config_checks_existence(tmp_path):
         resolve_config(raw, tmp_path)
 
 
+def csv_config(tmp_path, **overrides):
+    """A config over a CSV of the base config's synthetic data (240 rows)."""
+    write_csv(generate_synthetic(resolve(tmp_path).data.synthetic), tmp_path / "data.csv")
+    return base_config(data={"csv": {"path": "data.csv", "n_tasks": 2}}, **overrides)
+
+
+def test_csv_config_carries_its_dataset_outside_equality(tmp_path):
+    raw = csv_config(tmp_path)
+    cfg = resolve_config(raw, tmp_path)
+    assert cfg.data.dataset.n_rows == 240
+    assert all(build_dataset(cfg.data, s) is cfg.data.dataset for s in (0, 1, 7))
+    again = resolve_config(raw, tmp_path)
+    assert again.data.dataset is not cfg.data.dataset
+    assert again == cfg and again.data == cfg.data
+
+
+def test_csv_is_parsed_after_every_other_field(tmp_path):
+    raw = csv_config(
+        tmp_path, strategies=[{"kind": "sum"}, {"kind": "cograd", "gammas": [-1.0, 0.0]}]
+    )
+    with open(tmp_path / "data.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,2\n")
+    with pytest.raises(ConfigError, match=r"^strategies\[1\]"):
+        resolve_config(raw, tmp_path)
+    raw["strategies"] = [{"kind": "sum"}]
+    with pytest.raises(CsvParseError, match=r"data\.csv:242: expected 8 fields, got 2"):
+        resolve_config(raw, tmp_path)
+
+
 def test_config_echo_round_trips(tmp_path):
     cfg = resolve(tmp_path)
     echoed = resolve_config(config_to_dict(cfg), tmp_path)
@@ -330,7 +361,7 @@ def test_run_one_writes_artifacts(tmp_path):
     raw = base_config()
     raw["train"]["eval_every"] = 4
     cfg = resolve_config(raw, tmp_path)
-    result = run_one(cfg, 0, 0, tmp_path / "runs")
+    result = run_one(dataclasses.replace(cfg, output_dir=tmp_path / "runs"), 0, 0)
     run_dir = tmp_path / "runs" / "sum" / "0"
     assert result.run_dir == run_dir
     for name in ("checkpoint.json", "summary.json", "metrics_steps.csv", "metrics_eval.csv"):
@@ -344,8 +375,8 @@ def test_run_one_writes_artifacts(tmp_path):
 
 def test_run_one_metrics_reproducible(tmp_path):
     cfg = resolve(tmp_path)
-    run_one(cfg, 1, 0, tmp_path / "a")
-    run_one(cfg, 1, 0, tmp_path / "b")
+    run_one(dataclasses.replace(cfg, output_dir=tmp_path / "a"), 1, 0)
+    run_one(dataclasses.replace(cfg, output_dir=tmp_path / "b"), 1, 0)
     a = (tmp_path / "a" / "cograd" / "0" / "metrics_steps.csv").read_bytes()
     b = (tmp_path / "b" / "cograd" / "0" / "metrics_steps.csv").read_bytes()
     assert a == b
@@ -433,7 +464,7 @@ def checkpoint_and_csv(tmp_path, angle=0.0, rates=(0.5, 0.5)):
     raw["data"]["synthetic"]["task_angle_deg"] = angle
     raw["data"]["synthetic"]["positive_rates"] = list(rates)
     cfg = resolve_config(raw, tmp_path)
-    run_one(cfg, 0, 0, tmp_path / "runs")
+    run_one(dataclasses.replace(cfg, output_dir=tmp_path / "runs"), 0, 0)
     ckpt = tmp_path / "runs" / "sum" / "0" / "checkpoint.json"
     ds = build_dataset(cfg.data, 0)
     csv_path = tmp_path / "probe_data.csv"

@@ -251,6 +251,25 @@ def test_theta_grad_fn_runs_its_own_head_only():
         theta_grad_fn(net, x, y[:-1], 0)
 
 
+def test_theta_loss_fn_runs_its_own_head_only():
+    # The loss of task t needs the trunk and head t alone: it equals the full
+    # forward's bit for bit, and a non-finite logit of another head does not
+    # reach it; bad inputs are refused when the function is built.
+    from cograd.model import theta_loss_fn
+
+    net = small_net(3)
+    x, y = batch(10, 8, seed=2)
+    logits, _ = forward(net, x)
+    for t in range(2):
+        assert theta_loss_fn(net, x, y, t)(net.theta.copy()) == task_loss(logits[:, t], y)
+    net.phi[1][...] = np.nan
+    assert np.isfinite(theta_loss_fn(net, x, y, 0)(net.theta.copy()))
+    with pytest.raises(DimensionError, match="out of range"):
+        theta_loss_fn(net, x, y, -1)
+    with pytest.raises(DimensionError, match="labels for batch"):
+        theta_loss_fn(net, x, y[:-1], 0)
+
+
 def test_duplicated_rows_leave_loss_and_grads_unchanged():
     net = small_net(2)
     x, y = batch(6, 8, seed=5)

@@ -32,6 +32,7 @@ from .model import (
     forward,
     init_net,
     load_net,
+    read_json,
     save_net,
     theta_grad_fn,
     theta_loss_fn,
@@ -326,17 +327,7 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"{path}: not readable: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return resolve_config(raw, path.parent.resolve())
+    return resolve_config(read_json(path, "config"), path.parent.resolve())
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -359,6 +350,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "strategies": [_echo(s, _STRATEGY_FIELDS) for s in cfg.strategies],
         "seeds": list(cfg.seeds),
         "output_dir": str(cfg.output_dir),
+        "validate": {"checkpoints": list(cfg.validate_checkpoints)},
+        "probe": _echo(cfg.probe, _PROBE_FIELDS),
     }
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DataError, DimensionError, EvaluationError
 from .tensor_core import LayoutEntry, ParamVector
@@ -260,10 +259,16 @@ def _heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarra
     return logits, replace(cache, head_pre=list(head_pre), head_act=head_act)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function; saturates to exactly 0 or 1 with no overflow warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def predict_proba(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
     """Per-task probabilities, shape (n, T)."""
     logits, _ = forward(net, features)
-    return expit(logits)
+    return sigmoid(logits)
 
 
 def trunk_activations(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
@@ -354,7 +359,7 @@ def _task_backward(
     ``grad_theta`` (the trunk), each only if given: without ``grad_theta`` the trunk is skipped."""
     pres, head = cache.head_pre[task], net.task_heads[task]
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (expit(pres[-1]) - labels[:, None]) / labels.size
+    delta = (sigmoid(pres[-1]) - labels[:, None]) / labels.size
     inputs = [cache.trunk_act[-1], *cache.head_act[task]]
     delta = _stack_backward(head, pres, inputs, delta, net._phi_slots[task], grad_phi)
     if grad_theta is not None and net.shared_layers:  # head input gradient = trunk output gradient
@@ -432,6 +437,20 @@ def save_net(net: SharedBottomNet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def read_json(path: str | Path, what: str) -> Any:
+    """Parse the JSON file ``path``; a file that cannot be read, decoded or
+    parsed raises ConfigError naming ``what`` and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        problem, detail = "not readable", exc.strerror
+    except UnicodeDecodeError as exc:
+        problem, detail = "not UTF-8 text", exc.reason
+    except json.JSONDecodeError as exc:
+        problem, detail = "not valid JSON", exc
+    raise ConfigError(f"{what} {problem}: {path}: {detail}")
+
+
 def load_net(path: str | Path) -> SharedBottomNet:
     """Rebuild a network from ``save_net`` output.
 
@@ -439,16 +458,7 @@ def load_net(path: str | Path) -> SharedBottomNet:
     positive integer, and a ``num_tasks`` or ``theta_layout`` that disagrees
     with the layers; errors name the path and a layer as ``shared[i]`` or ``heads[t][i]``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"checkpoint not readable: {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"checkpoint is not UTF-8 text: {path}: {exc.reason}") from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"checkpoint is not valid JSON: {path}: {exc}") from exc
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != "cograd-checkpoint-v1":
         raise ConfigError(f"unrecognized checkpoint format in {path}")
 

@@ -3,8 +3,7 @@
 Row order is the time order: splits are contiguous slices, never shuffled.
 The synthetic generator exposes one knob for task relatedness (the angle
 between the tasks' weight vectors) and one for label sparsity (per-task
-positive rates, hit by solving for the logit offset with scipy's ``brentq``,
-which is imported only when synthetic data is drawn).
+positive rates, hit by bisecting for the logit offset).
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, CsvParseError, DataError
+from .model import sigmoid
 
 _BIAS_BRACKET = 60.0  # sigmoid saturates far inside +-60, so this always brackets
 
@@ -132,8 +131,6 @@ def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
     identical parameters produce identical label columns. Label noise then
     flips each row with the configured probability (same rows in every task).
     """
-    from scipy.optimize import brentq  # only synthetic data needs it, and it is slow to import
-
     rng = np.random.default_rng(cfg.seed)
     features = rng.standard_normal((cfg.n_samples, cfg.n_features))
     label_latent = rng.uniform(size=cfg.n_samples)
@@ -145,15 +142,25 @@ def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
         scores = 3.0 * (features @ weights[t])
 
         # The empirical rate is a monotone step function of the bias, so
-        # bisecting it directly lands within 1/n of the target.
+        # bisecting it directly lands within 1/(2n) of the target.
         def rate_gap(bias: float) -> float:
-            return float(np.mean(label_latent < expit(scores + bias))) - rate
+            return float(np.mean(label_latent < sigmoid(scores + bias))) - rate
 
         lo, hi = -_BIAS_BRACKET, _BIAS_BRACKET
-        if rate_gap(lo) >= 0.0 or rate_gap(hi) <= 0.0:
+        gap_lo, gap_hi = rate_gap(lo), rate_gap(hi)
+        if gap_lo >= 0.0 or gap_hi <= 0.0:
             raise DataError(f"task {t}: cannot bracket bias for positive rate {rate}")
-        bias = brentq(rate_gap, lo, hi, xtol=1e-12)
-        column = (label_latent < expit(scores + bias)).astype(np.float64)
+        # The positive rows only grow with the bias, so stop once one row
+        # separates lo from hi and keep the end nearer the target (lo on a tie).
+        while gap_hi - gap_lo > 1.5 / cfg.n_samples and hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            gap = rate_gap(mid)
+            if gap < 0.0:
+                lo, gap_lo = mid, gap
+            else:
+                hi, gap_hi = mid, gap
+        bias = hi if abs(gap_hi) < abs(gap_lo) else lo
+        column = (label_latent < sigmoid(scores + bias)).astype(np.float64)
         realized = float(np.mean(column))
         if abs(realized - rate) > 0.02:
             raise DataError(

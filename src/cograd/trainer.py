@@ -41,13 +41,13 @@ from .model import (
     _task_backward,
     forward,
     predict_proba,
+    sigmoid,
     task_loss,
     theta_grad_fn,
     theta_loss_fn,
     trunk_activations,
 )
 from .tasks_data import DatasetSplits, MultiTaskDataset, batches, write_table
-from scipy.special import expit
 
 _OPTIMIZERS = ("adam", "sgd")
 _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator offset
@@ -401,7 +401,7 @@ def _fit_probe_head(
     loss = task_loss(logits, labels)
     grad_norm = np.inf
     for it in range(cfg.max_iters + 1):
-        p = expit(logits)
+        p = sigmoid(logits)
         grad = design.T @ ((p - labels) / n)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < cfg.grad_tol:

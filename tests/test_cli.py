@@ -66,8 +66,9 @@ def test_train_invalid_config_exits_2(tmp_path, capsys):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    assert main(["train", str(tmp_path / "nope.json")]) == 2
-    assert "not found" in capsys.readouterr().err
+    missing = tmp_path / "nope.json"
+    assert main(["train", str(missing)]) == 2
+    assert f"config not readable: {missing}" in capsys.readouterr().err
 
 
 def test_unknown_field_exits_2(tmp_path, capsys):
@@ -443,6 +444,30 @@ def test_directory_as_config_exits_2_naming_it(tmp_path, capsys, command):
     assert "not readable" in err
 
 
+@pytest.mark.parametrize(
+    "fault, problem",
+    [
+        ("missing", "not readable"),
+        ("directory", "not readable"),
+        ("latin-1", "not UTF-8 text"),
+        ("truncated", "not valid JSON"),
+    ],
+)
+@pytest.mark.parametrize("what", ["config", "checkpoint"])
+def test_unreadable_json_exits_2_naming_it(tmp_path, capsys, what, fault, problem):
+    # Configs and checkpoints go through one reader, so they fail alike.
+    bad = tmp_path / "bad.json"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "latin-1":
+        bad.write_bytes(b'{"seeds": "\xff"}')
+    elif fault == "truncated":
+        bad.write_text('{"seeds": [0', encoding="utf-8")
+    argv = ["train", str(bad)] if what == "config" else ["probe", str(bad), str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert f"{what} {problem}: {bad}: " in capsys.readouterr().err
+
+
 def _nan_first_weight(ckpt):
     ckpt["shared"][0]["weights"][0][0] = float("nan")
 
@@ -597,22 +622,21 @@ def test_python_m_cograd_help():
     _assert_help_lists_subcommands([sys.executable, "-m", "cograd", "--help"], _checkout_env())
 
 
-# Modules that take a large share of start-up time and serve one code path each.
-# The ``concurrent.futures`` package itself comes with ``scipy.special`` (through
-# ``numpy.testing``); its process pool, which loads ``multiprocessing``, does not.
-_SLOW_IMPORTS = ("scipy.stats", "scipy.optimize", "concurrent.futures.process")
+# The program runs on numpy alone, so no command may load scipy; the process
+# pool, which loads ``multiprocessing``, serves ``--jobs`` above 1 only.
 _REPORT_IMPORTS = (
     "import sys\n"
     "from cograd.cli import main\n"
     "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    f"print(sorted(m for m in {_SLOW_IMPORTS!r} if m in sys.modules))\n"
+    "print(sorted(m for m in sys.modules\n"
+    "             if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))\n"
     "sys.exit(code)\n"
 )
 
 
 @pytest.mark.parametrize(
     "command, loaded",
-    [("import", []), ("train-csv", []), ("probe-csv", []), ("train-synthetic", ["scipy.optimize"])],
+    [("import", []), ("train-csv", []), ("probe-csv", []), ("train-synthetic", [])],
 )
 def test_command_imports_only_what_it_runs(tmp_path, command, loaded):
     if command == "train-csv":

@@ -335,14 +335,18 @@ def test_csv_is_parsed_after_every_other_field(tmp_path):
 
 
 def test_config_echo_round_trips(tmp_path):
-    cfg = resolve(tmp_path)
-    echoed = resolve_config(config_to_dict(cfg), tmp_path)
-    assert echoed.strategies == cfg.strategies
-    assert echoed.seeds == cfg.seeds
-    assert echoed.data == cfg.data
-    assert echoed.model == cfg.model
-    assert echoed.train == cfg.train
-    assert echoed == cfg
+    sections = {"probe": {"band": 0.02}, "validate": {"checkpoints": [0, 4]}}
+    for cfg in (resolve(tmp_path), resolve(tmp_path, **sections)):
+        echoed = resolve_config(config_to_dict(cfg), tmp_path)
+        assert echoed.strategies == cfg.strategies
+        assert echoed.seeds == cfg.seeds
+        assert echoed.data == cfg.data
+        assert echoed.model == cfg.model
+        assert echoed.train == cfg.train
+        assert echoed.probe == cfg.probe
+        assert echoed.validate_checkpoints == cfg.validate_checkpoints
+        assert echoed == cfg
+    assert (cfg.probe.band, cfg.validate_checkpoints) == (0.02, (0, 4))
 
 
 def test_build_dataset_offsets_generator_seed(tmp_path):
@@ -546,8 +550,9 @@ def test_capacity_sweep_preserves_depth(tmp_path):
 def test_load_config_reports_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
+    with pytest.raises(ConfigError, match="not valid JSON") as exc:
         load_config(path)
+    assert str(path) in str(exc.value)
 
 
 def test_parallel_jobs_match_serial(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cograd import (
     theta_grad_fn,
     trunk_activations,
 )
+from cograd.model import sigmoid
 
 
 def small_net(seed=0):
@@ -128,6 +131,22 @@ def test_forward_matches_perturbation_reconstruction():
     _, cache = forward(net, x)
     analytic = backward_task(net, cache, y, 0)[0].values
     assert np.linalg.norm(fd - analytic) < 1e-6 * max(1.0, np.linalg.norm(analytic))
+
+
+def test_sigmoid_matches_libm_form_and_saturates_silently():
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.linspace(-700.0, 700.0, 14_001), 10.0 * rng.standard_normal(5_000)])
+    reference = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+    extremes = np.array([-1e308, -800.0, -746.0, 40.0, 800.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        saturated = sigmoid(extremes)
+        scalar = sigmoid(-1e308)
+    assert np.max(np.abs(got - reference) / np.spacing(reference)) <= 4.0
+    assert np.all(np.diff(sigmoid(np.sort(x))) >= 0.0)
+    assert saturated.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert scalar == 0.0
 
 
 def test_task_loss_at_zero_logits_is_ln2():

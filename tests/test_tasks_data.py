@@ -14,6 +14,7 @@ from cograd import (
     split,
     write_csv,
 )
+from cograd.tasks_data import _task_weights
 
 
 def synth_cfg(**overrides):
@@ -43,6 +44,58 @@ def test_positive_rates_hit_targets():
     rates = ds.labels.mean(axis=0)
     assert 0.48 <= rates[0] <= 0.52
     assert 0.015 <= rates[1] <= 0.025
+
+
+def brentq_labels(cfg):
+    """Labels drawn as before the bisection: scipy's brentq and expit on the same rate gap."""
+    from scipy.optimize import brentq
+    from scipy.special import expit
+
+    rng = np.random.default_rng(cfg.seed)
+    features = rng.standard_normal((cfg.n_samples, cfg.n_features))
+    latent, noise = rng.uniform(size=cfg.n_samples), rng.uniform(size=cfg.n_samples)
+    labels = np.zeros((cfg.n_samples, len(cfg.positive_rates)))
+    for t, (weights, rate) in enumerate(zip(_task_weights(cfg), cfg.positive_rates)):
+        scores = 3.0 * (features @ weights)
+
+        def rate_gap(bias):
+            return float(np.mean(latent < expit(scores + bias))) - rate
+
+        labels[:, t] = latent < expit(scores + brentq(rate_gap, -60.0, 60.0, xtol=1e-12))
+    flip = noise < cfg.label_noise
+    labels[flip] = 1.0 - labels[flip]
+    return labels
+
+
+# The synthetic regimes of the tests and the benchmark, at the seeds they draw.
+@pytest.mark.parametrize(
+    "overrides, seeds",
+    [
+        ({}, [0]),
+        ({"label_noise": 0.2}, [0]),
+        ({"n_samples": 50}, [0]),
+        ({"n_samples": 601, "positive_rates": (0.1, 0.3)}, range(3)),  # 60.1 and 180.3 rows
+        ({"n_samples": 20000, "positive_rates": (0.5, 0.02)}, [0]),
+        ({"task_angle_deg": 0.0, "positive_rates": (0.3, 0.3)}, [0]),
+        ({"n_samples": 4000, "task_angle_deg": 90.0, "positive_rates": (0.4, 0.4)}, range(3)),
+        ({"n_samples": 240, "n_features": 6, "positive_rates": (0.5, 0.4, 0.6, 0.5)}, [11, 12]),
+        ({"n_samples": 2000, "positive_rates": (0.5, 0.3)}, [11]),
+        ({"n_samples": 6000, "n_features": 16, "positive_rates": (0.5, 0.5)}, [21, 22]),
+        ({"n_samples": 600, "positive_rates": (0.5, 0.2)}, [5]),
+        ({"n_samples": 20000, "n_features": 32, "positive_rates": (0.5, 0.05)}, [11, 1012]),
+        ({"n_samples": 50000, "n_features": 128, "positive_rates": (0.5, 0.02)}, [11]),
+    ],
+)
+def test_labels_equal_the_brentq_draw(overrides, seeds):
+    for seed in seeds:
+        cfg = synth_cfg(seed=seed, **overrides)
+        assert np.array_equal(generate_synthetic(cfg).labels, brentq_labels(cfg))
+
+
+def test_rate_halfway_between_two_counts_takes_the_lower():
+    # 601 * 0.5 = 300.5: 300 and 301 positives miss the rate by the same float.
+    for seed in range(4):
+        assert generate_synthetic(synth_cfg(n_samples=601, seed=seed)).labels[:, 0].sum() == 300
 
 
 def test_zero_angle_identical_processes_identical_columns():

@@ -177,7 +177,7 @@ def test_single_sgd_step_hand_trace():
     _, cache = forward(reference, x)
     for t in range(2):
         _, grad_phi = backward_task(reference, cache, y[:, t], t)
-        reference.set_phi(t, reference.get_phi(t).values - lr * weights[t] * grad_phi.values)
+        reference.set_phi(t, reference.get_phi(t).values - lr * (weights[t] * grad_phi.values))
     logits, cache = forward(reference, x)
     agg = np.zeros(len(reference.get_theta()))
     expected_losses = []

@@ -3,8 +3,8 @@
 The coordination strategy replaces the Hessian-vector product H_j v with
 the cheap elementwise surrogate g_j * g_j * v. This script trains a small
 net for a few hundred steps, and at five checkpoints compares the
-surrogate against a central-difference HVP for both ordered task pairs:
-cosine similarity (direction) and norm ratio (scale).
+surrogate against the exact HVP (``task_hvp``'s R-op) for both ordered
+task pairs: cosine similarity (direction) and norm ratio (scale).
 
 The surrogate is exact only in a constructed special case; on real
 training trajectories expect cosines well below 1. The point of the

@@ -34,7 +34,7 @@ from .model import (
     load_net,
     read_json,
     save_net,
-    theta_grad_fn,
+    task_hvp,
     theta_loss_fn,
 )
 from .tasks_data import (
@@ -46,7 +46,6 @@ from .tasks_data import (
     split,
     write_table,
 )
-from .tensor_core import finite_diff_hvp
 from .trainer import (
     ProbeConfig,
     TrainConfig,
@@ -502,9 +501,9 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
 
     Runs a short training with the first configured strategy and seed,
     snapshots the net at the configured checkpoints, and for every ordered
-    task pair records: cosine and norm ratio between the central-difference
-    HVP and the surrogate, plus the exact-vs-first-order transference gap at
-    gamma and gamma/2. Returns the report path.
+    task pair records: cosine and norm ratio between the exact HVP (the R-op
+    of ``task_hvp``) and the surrogate, plus the exact-vs-first-order
+    transference gap at gamma and gamma/2. Returns the report path.
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
@@ -532,18 +531,18 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
         snap = snapshots[step]
         _, cache = forward(snap, x)
         grads = [backward_task(snap, cache, y[:, t], t)[0].values for t in range(n_tasks)]
-        grad_fns = [theta_grad_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
+        hvp_fns = [task_hvp(snap, cache, y[:, t], t) for t in range(n_tasks)]
         loss_fns = [theta_loss_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
         for full, half in zip(
             measure_transference(step, snap.theta, grads, loss_fns, gammas),
             measure_transference(step, snap.theta, grads, loss_fns, halves),
         ):
             i, j = full.source_task, full.target_task
-            fd = finite_diff_hvp(grad_fns[j], snap.theta, grads[i])
+            exact = hvp_fns[j](grads[i])
             ap = approx_hvp(grads[j], grads[i], strategy.lam)
-            fd_norm = float(np.linalg.norm(fd))
-            cosine = pairwise_cosine([fd, ap])[0, 1]
-            ratio = float(np.linalg.norm(ap)) / fd_norm if fd_norm > 0 else float("nan")
+            exact_norm = float(np.linalg.norm(exact))
+            cosine = pairwise_cosine([exact, ap])[0, 1]
+            ratio = float(np.linalg.norm(ap)) / exact_norm if exact_norm > 0 else float("nan")
             gap_full = abs(full.exact_delta - full.first_order)
             gap_half = abs(half.exact_delta - half.first_order)
             gap_ratio = gap_full / gap_half if gap_half > 0 else float("nan")

@@ -7,7 +7,9 @@ parameters:
 - ``cograd_modify``: descend each task's loss while pushing transference up,
   using the squared-gradient curvature surrogate H_i v ~ lam * g_i (.) g_i (.) v.
 - ``cograd_modify_exact_hvp``: the same correction with true Hessian-vector
-  products from central differences; the expensive reference variant.
+  products, which training takes by the analytic R-op of ``model.task_hvp``;
+  central differences of gradient functions remain only as an adapter in
+  ``modify_gradients``.
 - ``pcgrad_modify``: project conflicting gradients onto partner normal planes.
 - ``magnitude_balance``: scale gradients toward the anchor task's moving norm.
 
@@ -202,28 +204,26 @@ def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
 
 def cograd_modify_exact_hvp(
     grads,
-    grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-    theta,
+    hvp_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     cfg: StrategyConfig,
 ) -> np.ndarray:
     """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
 
-    H_i g_j comes from central differences of task i's gradient function, so
-    a step costs two gradient evaluations per ordered task pair, whatever the
-    trunk size.
+    ``hvp_fns[i]`` maps a direction v to H_i v, task i's Hessian over the
+    shared parameters times v; training passes the exact R-op products of
+    ``model.task_hvp``. Each ordered task pair takes its own product of the
+    unscaled partner gradient, so the correction is linear in gamma even for
+    a product that is not linear in its direction.
     """
     G = _matrix(grads)
     cfg.check_tasks(len(G))
-    if len(grad_fns) != len(G):
-        raise DimensionError(f"{len(G)} gradients but {len(grad_fns)} gradient functions")
-    th = _values(theta)
+    if len(hvp_fns) != len(G):
+        raise DimensionError(f"{len(G)} gradients but {len(hvp_fns)} HVP functions")
     out = G.copy()
-    # A central difference is not linear in its direction, so each ordered
-    # pair takes its own product.
     for i in range(len(G)):
         for j in range(len(G)):
             if j != i and cfg.gammas[j] != 0.0:
-                out[i] -= cfg.gammas[j] * finite_diff_hvp(grad_fns[i], th, G[j])
+                out[i] -= cfg.gammas[j] * hvp_fns[i](G[j])
     return out
 
 
@@ -308,21 +308,26 @@ def modify_gradients(
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     theta=None,
     moving_norms: np.ndarray | None = None,
+    hvp_fns: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Dispatch to the strategy named by ``cfg.kind``; returns a new (T, P) array.
 
-    ``order_seed`` feeds pcgrad's traversal; ``grad_fns`` and ``theta`` are
-    required by the exact-HVP variant only, and ``moving_norms`` (the run's
-    state, updated in place) by magnitude balancing only.
+    ``order_seed`` feeds pcgrad's traversal; ``moving_norms`` (the run's
+    state, updated in place) is required by magnitude balancing only. The
+    exact-HVP variant needs ``hvp_fns``, one Hessian-vector product per task,
+    or else ``grad_fns`` and ``theta``, one trunk gradient function per task
+    and the point, whose products it takes by central differences.
     """
     if cfg.kind == "sum":
         return _matrix(grads).copy()
     if cfg.kind == "cograd":
         return cograd_modify(grads, cfg)
     if cfg.kind == "cograd_exact_hvp":
-        if grad_fns is None or theta is None:
-            raise ConfigError("cograd_exact_hvp needs grad_fns and theta")
-        return cograd_modify_exact_hvp(grads, grad_fns, theta, cfg)
+        if hvp_fns is None and grad_fns is not None and theta is not None:
+            hvp_fns = [lambda v, f=f: finite_diff_hvp(f, theta, v) for f in grad_fns]
+        if hvp_fns is None:
+            raise ConfigError("cograd_exact_hvp needs hvp_fns, or grad_fns and theta")
+        return cograd_modify_exact_hvp(grads, hvp_fns, cfg)
     if cfg.kind == "pcgrad":
         return pcgrad_modify(grads, order_seed=order_seed)
     if cfg.kind == "magnitude_balance":

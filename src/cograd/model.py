@@ -12,6 +12,8 @@ flat vectors in the same layouts, so an optimizer step updates a buffer as
 one vector.
 
 All tensors are float64. Forward and backward are pure given (net, batch).
+``task_hvp`` takes the exact Hessian-vector product over the trunk from a
+forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi[t]`` in place;
 ``set_theta`` / ``set_phi`` write a whole vector after checking its length.
 """
@@ -294,20 +296,30 @@ def _bce(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(per_row))
 
 
+def _through_activation(layer: DenseLayer, pre: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` times ``layer``'s activation slope at ``pre``; a relu's slope at 0 is taken as 0."""
+    if layer.activation == "relu":
+        return x * (pre > 0.0).astype(np.float64)
+    return x
+
+
 def _stack_backward(
-    layers: list[DenseLayer], pres: list[np.ndarray], inputs: list[np.ndarray],
-    grad_out: np.ndarray, slots: list[tuple[slice, slice]], grad: np.ndarray | None,
+    layers: list[DenseLayer], pres: list[np.ndarray], inputs: list[np.ndarray] | None,
+    grad_out: np.ndarray, slots: list[tuple[slice, slice]] | None, grad: np.ndarray | None,
+    deltas: list | None = None,
 ) -> np.ndarray:
     """Backpropagate ``grad_out``, the loss gradient at the stack's output.
 
     Writes each layer's weight and bias gradient into ``grad`` (if given) at its slot,
     given layer i's pre-activation ``pres[i]`` and input ``inputs[i]``, and
-    returns the gradient at the first layer's pre-activation.
+    returns the gradient at the first layer's pre-activation. ``deltas[i]`` (if
+    given) receives the gradient at layer i's pre-activation.
     """
     delta = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        if layers[i].activation == "relu":  # the subgradient at 0 is taken as 0
-            delta = delta * (pres[i] > 0.0).astype(np.float64)
+        delta = _through_activation(layers[i], pres[i], delta)
+        if deltas is not None:
+            deltas[i] = delta
         if grad is not None:
             w, b = slots[i]
             grad[w] = (inputs[i].T @ delta).ravel()
@@ -330,19 +342,7 @@ def backward_task(
     ``phi_layouts[task_id]``. Gradients of the other heads are identically
     zero and are not materialized.
     """
-    if not 0 <= task_id < net.num_tasks:
-        raise DimensionError(f"task_id {task_id} out of range")
-    if len(cache.trunk_pre) != len(net.shared_layers) or len(cache.head_pre[task_id]) != len(
-        net.task_heads[task_id]
-    ):
-        raise DimensionError("stale cache: layer count mismatch")
-    n = cache.features.shape[0]
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if y.size != n:
-        raise DimensionError(f"{y.size} labels for batch of {n}")
-    if cache.head_pre[task_id][-1].shape[0] != n:
-        raise DimensionError("stale cache: batch size mismatch")
-
+    y = _checked_labels(net, cache, labels, task_id)
     grad_theta, grad_phi = np.empty(net.theta.size), np.empty(net.phi[task_id].size)
     _task_backward(net, cache, y, task_id, grad_phi, grad_theta)
     return (
@@ -351,22 +351,110 @@ def backward_task(
     )
 
 
+def _checked_labels(
+    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int
+) -> np.ndarray:
+    """``labels`` as a 1-D float64 vector, once ``task`` and ``cache`` fit the net and batch."""
+    if not 0 <= task < net.num_tasks:
+        raise DimensionError(f"task_id {task} out of range")
+    if len(cache.trunk_pre) != len(net.shared_layers) or len(cache.head_pre[task]) != len(
+        net.task_heads[task]
+    ):
+        raise DimensionError("stale cache: layer count mismatch")
+    n = cache.features.shape[0]
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if y.size != n:
+        raise DimensionError(f"{y.size} labels for batch of {n}")
+    if cache.head_pre[task][-1].shape[0] != n:
+        raise DimensionError("stale cache: batch size mismatch")
+    return y
+
+
 def _task_backward(
     net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int,
     grad_phi: np.ndarray | None = None, grad_theta: np.ndarray | None = None,
+    deltas: list | None = None,
 ) -> None:
-    """Backpropagate task ``task``'s mean BCE on 1-D ``labels`` into ``grad_phi`` (its head) and
-    ``grad_theta`` (the trunk), each only if given: without ``grad_theta`` the trunk is skipped."""
+    """Backpropagate task ``task``'s mean BCE on 1-D ``labels`` into ``grad_phi`` (its head),
+    ``grad_theta`` (the trunk) and ``deltas`` (the gradient at each trunk pre-activation),
+    each only if given: with neither ``grad_theta`` nor ``deltas`` the trunk is skipped."""
     pres, head = cache.head_pre[task], net.task_heads[task]
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
     delta = (sigmoid(pres[-1]) - labels[:, None]) / labels.size
     inputs = [cache.trunk_act[-1], *cache.head_act[task]]
     delta = _stack_backward(head, pres, inputs, delta, net._phi_slots[task], grad_phi)
-    if grad_theta is not None and net.shared_layers:  # head input gradient = trunk output gradient
-        _stack_backward(
+    if (grad_theta is not None or deltas is not None) and net.shared_layers:
+        _stack_backward(  # head input gradient = trunk output gradient
             net.shared_layers, cache.trunk_pre, cache.trunk_act, delta @ head[0].weights.T,
-            net._theta_slots, grad_theta,
+            net._theta_slots, grad_theta, deltas,
         )
+
+
+def task_hvp(
+    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact trunk Hessian-vector product of task ``task``'s mean BCE: ``v -> H v``.
+
+    H is the Hessian over the flat shared vector at the point ``cache`` was
+    taken at, with the heads fixed. The product is Pearlmutter's R-op
+    (forward-over-reverse): a tangent forward pass through the trunk, whose
+    layers take their (dW, db) from ``v``'s slots, and a backward pass of the
+    tangents. It uses the cache's relu pattern, so it is exact wherever no
+    hidden pre-activation sits on a kink, and needs no step size. What does
+    not depend on ``v`` is computed once, here; each product reads the net's
+    current trunk weights, so it holds until they change.
+    """
+    y = _checked_labels(net, cache, labels, task)
+    deltas: list = [None] * len(net.shared_layers)
+    _task_backward(net, cache, y, task, deltas=deltas)
+    return _trunk_hvp(net, cache, task, deltas)
+
+
+def _trunk_hvp(
+    net: SharedBottomNet, cache: ForwardCache, task: int, deltas: list
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``task_hvp`` from ``deltas``, the loss gradient at each trunk pre-activation."""
+    trunk, slots = net.shared_layers, net._theta_slots
+    head, pres = net.task_heads[task], cache.head_pre[task]
+    n = cache.features.shape[0]
+    # Each row's logit gradient at the trunk output. The head is fixed and its
+    # relu pattern too, so a tangent crosses it along this row, and so does
+    # its R-backward.
+    jac = _stack_backward(head, pres, None, np.ones((n, 1)), None, None) @ head[0].weights.T
+    p = sigmoid(pres[-1])
+    curvature = p * (1.0 - p) / n  # the mean BCE's second derivative in the logit
+
+    def hvp(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64).ravel()
+        if v.size != net.theta.size:
+            raise DimensionError(f"direction has {v.size} entries, the trunk {net.theta.size}")
+        if not trunk:
+            return np.zeros(0)
+        tangents = [(v[w].reshape(lay.weights.shape), v[b]) for lay, (w, b) in zip(trunk, slots)]
+        # Tangent forward: R(z_i) = R(a_i) W_i + a_i dW_i + db_i, and R(a_0) = 0.
+        r_acts = [None]
+        for i, (layer, (dw, db)) in enumerate(zip(trunk, tangents)):
+            r_pre = cache.trunk_act[i] @ dw + db
+            if i:
+                r_pre += r_acts[i] @ layer.weights
+            r_acts.append(_through_activation(layer, cache.trunk_pre[i], r_pre))
+        r_logit = np.sum(r_acts[-1] * jac, axis=1, keepdims=True)
+        r_delta = curvature * r_logit * jac  # R(dL/da) at the trunk output
+        # Down the trunk: R(dL/dW_i) = a_i' R(delta_i) + R(a_i)' delta_i, and
+        # R(delta) crosses a layer as R(delta_i) W_i' + delta_i dW_i'.
+        out = np.empty(v.size)
+        for i in range(len(trunk) - 1, -1, -1):
+            r_delta = _through_activation(trunk[i], cache.trunk_pre[i], r_delta)
+            w, b = slots[i]
+            grad_w = cache.trunk_act[i].T @ r_delta
+            out[b] = r_delta.sum(axis=0)
+            if i:
+                grad_w += r_acts[i].T @ deltas[i]
+                r_delta = r_delta @ trunk[i].weights.T + deltas[i] @ tangents[i][0].T
+            out[w] = grad_w.ravel()
+        return out
+
+    return hvp
 
 
 def _task_probe(

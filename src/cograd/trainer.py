@@ -39,11 +39,11 @@ from .model import (
     _bce,
     _heads_forward,
     _task_backward,
+    _trunk_hvp,
     forward,
     predict_proba,
     sigmoid,
     task_loss,
-    theta_grad_fn,
     theta_loss_fn,
     trunk_activations,
 )
@@ -272,9 +272,12 @@ def train(
                     raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
                 losses = []
                 raw_grads = np.empty((num_tasks, net.theta.size))
+                deltas = [[None] * len(net.shared_layers) for _ in range(num_tasks)]
                 for t in range(num_tasks):
                     losses.append(_bce(logits[:, t], y[:, t]))
-                    _task_backward(net, cache, y[:, t], t, grad_theta=raw_grads[t])
+                    _task_backward(
+                        net, cache, y[:, t], t, grad_theta=raw_grads[t], deltas=deltas[t]
+                    )
                 if not all(np.isfinite(losses)):
                     raise DivergenceError(f"training diverged at step {step}: non-finite loss")
 
@@ -290,16 +293,15 @@ def train(
                         )
                     )
 
-                grad_fns = None
+                hvp_fns = None
                 if cfg.strategy.kind == "cograd_exact_hvp":
-                    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(num_tasks)]
+                    hvp_fns = [_trunk_hvp(net, cache, t, deltas[t]) for t in range(num_tasks)]
                 modified = modify_gradients(
                     raw_grads,
                     cfg.strategy,
                     order_seed=cfg.seed * 1_000_003 + step,
-                    grad_fns=grad_fns,
-                    theta=net.theta,
                     moving_norms=moving_norms,
+                    hvp_fns=hvp_fns,
                 )
 
                 aggregate = (weights[:, None] * modified).sum(axis=0)

@@ -463,6 +463,45 @@ def test_validate_approx_runs_on_a_wide_trunk(tmp_path):
     assert all(-1.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[1:])
 
 
+def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypatch):
+    # The hvp_* cells compare the surrogate against task_hvp's exact product.
+    # Rerun with a central-difference product in its place: where no relu of
+    # the probe batch changes sign within the difference's step, the two
+    # reports agree to 1e-6, and the transference gaps, which no product
+    # enters, bit for bit.
+    from cograd import experiments, finite_diff_hvp, forward, hvp_default_eps, theta_grad_fn
+
+    def relu_signs(net, x, theta):
+        probe = net.copy()
+        probe.set_theta(theta)
+        cache = forward(probe, x)[1]
+        return [z > 0.0 for z in [*cache.trunk_pre, *(p for h in cache.head_pre for p in h[:-1])]]
+
+    def central_difference_hvp(net, cache, labels, task):
+        grad_fn = theta_grad_fn(net, cache.features, labels, task)
+
+        def hvp(v):
+            at = relu_signs(net, cache.features, net.theta)
+            for sign in (1.0, -1.0):  # kink-free along the difference's step
+                step = net.theta + sign * hvp_default_eps(net.theta) * v
+                assert all(map(np.array_equal, relu_signs(net, cache.features, step), at))
+            return finite_diff_hvp(grad_fn, net.theta, v)
+
+        return hvp
+
+    raw = base_config()
+    raw["validate"] = {"checkpoints": [0, 4, 8]}
+    reports = [run_validate_approx(resolve_config(raw, tmp_path / "exact"))]
+    monkeypatch.setattr(experiments, "task_hvp", central_difference_hvp)
+    reports.append(run_validate_approx(resolve_config(raw, tmp_path / "fd")))
+    exact, fd = ([line.split(",") for line in r.read_text().splitlines()[1:]] for r in reports)
+    assert len(exact) == len(fd) == 3 * 2
+    for got, want in zip(exact, fd):
+        assert got[:3] + got[5:] == want[:3] + want[5:]
+        assert float(got[3]) == pytest.approx(float(want[3]), abs=1e-6)  # cosine
+        assert float(got[4]) == pytest.approx(float(want[4]), rel=1e-6)  # norm ratio
+
+
 def checkpoint_and_csv(tmp_path, angle=0.0, rates=(0.5, 0.5)):
     raw = base_config()
     raw["data"]["synthetic"]["task_angle_deg"] = angle

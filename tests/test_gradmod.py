@@ -23,6 +23,7 @@ from cograd import (
     modify_gradients,
     pairwise_cosine,
     pcgrad_modify,
+    task_hvp,
     theta_grad_fn,
     transfer_exact,
     transfer_first_order,
@@ -218,19 +219,16 @@ def test_cograd_gamma_count_checked():
 def test_cograd_exact_hvp_identity_hessian():
     # L_i = 0.5||theta||^2 for both tasks: H g = g, so the correction is a
     # plain weighted partner subtraction.
-    theta = np.array([0.3, -0.4, 1.0])
     g1 = np.array([1.0, 0.0, 2.0])
     g2 = np.array([0.5, 1.0, -1.0])
-    out = cograd_modify_exact_hvp(
-        [g1, g2], [lambda v: v, lambda v: v], theta, cfg(gammas=(0.2, 0.1))
-    )
+    out = cograd_modify_exact_hvp([g1, g2], [lambda v: v, lambda v: v], cfg(gammas=(0.2, 0.1)))
     assert np.allclose(out[0], g1 - 0.1 * g2, atol=1e-9)
     assert np.allclose(out[1], g2 - 0.2 * g1, atol=1e-9)
 
 
 def test_cograd_exact_hvp_zero_gamma_identity():
     g = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    out = cograd_modify_exact_hvp(g, [lambda v: v] * 2, np.zeros(2), cfg(gammas=(0.0, 0.0)))
+    out = cograd_modify_exact_hvp(g, [lambda v: v] * 2, cfg(gammas=(0.0, 0.0)))
     assert np.array_equal(out[0], g[0]) and np.array_equal(out[1], g[1])
 
 
@@ -242,9 +240,9 @@ def test_cograd_exact_hvp_matches_surrogate_on_constructed_case():
     theta = 1.0 / np.sqrt(h)
     g = h * theta
     grads = [g.copy(), g.copy()]
-    grad_fns = [lambda v: h * v, lambda v: h * v]
+    hvp_fns = [lambda v: h * v, lambda v: h * v]
     strategy = cfg(gammas=(0.3, 0.1))
-    exact = cograd_modify_exact_hvp(grads, grad_fns, theta, strategy)
+    exact = cograd_modify_exact_hvp(grads, hvp_fns, strategy)
     surrogate = cograd_modify(grads, strategy)
     for a, b in zip(exact, surrogate):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-6
@@ -259,15 +257,39 @@ def test_cograd_exact_hvp_on_a_wide_trunk_is_linear_in_gamma():
     y = (rng.uniform(size=(64, 2)) < 0.5).astype(float)
     _, cache = forward(net, x)
     grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(2)]
-    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(2)]
+    hvp_fns = [task_hvp(net, cache, y[:, t], t) for t in range(2)]
     assert net.theta.size == 24_768
     one, two = (
-        cograd_modify_exact_hvp(grads, grad_fns, net.theta, cfg(gammas=(g, 0.5 * g)))
-        for g in (0.1, 0.2)
+        cograd_modify_exact_hvp(grads, hvp_fns, cfg(gammas=(g, 0.5 * g))) for g in (0.1, 0.2)
     )
     for g, a, b in zip(grads, one, two):
         assert np.linalg.norm(g - a) > 0.0
         np.testing.assert_allclose(g - b, 2.0 * (g - a), rtol=1e-9, atol=1e-14)
+
+
+def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
+    # Gradient functions and a point, the older call, still work: the products
+    # are central differences of unscaled partner gradients, so the correction
+    # is linear in gamma to the 1e-9 the benchmark checks, and each product is
+    # finite_diff_hvp's bit for bit.
+    rng = np.random.default_rng(9)
+    net = init_net(8, [8], [4], 2, seed=4)
+    x = rng.standard_normal((32, 8))
+    y = (rng.uniform(size=(32, 2)) < 0.5).astype(float)
+    _, cache = forward(net, x)
+    grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(2)]
+    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(2)]
+
+    def corrected(scale):
+        strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=(0.5 * scale, 0.25 * scale))
+        return modify_gradients(grads, strategy, grad_fns=grad_fns, theta=net.theta)
+
+    one, two = corrected(1.0), corrected(2.0)
+    for g, a, b in zip(grads, one, two):
+        assert np.linalg.norm(g - b) > 0.0
+        assert np.linalg.norm((g - b) - 2.0 * (g - a)) <= 1e-9 * np.linalg.norm(g - b)
+    expected = grads[0] - 0.25 * finite_diff_hvp(grad_fns[0], net.theta, grads[1])
+    assert np.array_equal(one[0], expected)
 
 
 def test_pcgrad_hand_projection():
@@ -486,7 +508,7 @@ RAGGED = [np.ones(3), np.ones(4)]
     [
         lambda g: modify_gradients(g, StrategyConfig(kind="sum")),
         lambda g: cograd_modify(g, cfg(gammas=(0.1, 0.1))),
-        lambda g: cograd_modify_exact_hvp(g, [lambda v: v] * 2, np.ones(3), cfg()),
+        lambda g: cograd_modify_exact_hvp(g, [lambda v: v] * 2, cfg()),
         lambda g: pcgrad_modify(g, order_seed=0),
         lambda g: magnitude_balance(g, cfg(kind="magnitude_balance", gammas=()), np.zeros(2)),
         pairwise_cosine,

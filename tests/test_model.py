@@ -16,11 +16,13 @@ from cograd import (
     SharedBottomNet,
     backward_task,
     finite_diff_gradient,
+    finite_diff_hvp,
     forward,
     init_net,
     load_net,
     predict_proba,
     save_net,
+    task_hvp,
     task_loss,
     theta_grad_fn,
     trunk_activations,
@@ -169,12 +171,12 @@ def test_task_loss_rejects_non_binary_labels():
         task_loss(np.zeros(2), np.array([0.0, 2.0]))
 
 
-def deep_net(seed):
-    # A [8, 6, 4] trunk with [4, 3] heads. At init scale most rows of a net
-    # this deep sit on a relu kink, and some hidden layers are dead on every
-    # row. So weights are tripled, and each hidden bias is set so that its
-    # unit's median pre-activation on a reference batch is zero.
-    net = init_net(8, [8, 6, 4], [4, 3], 2, seed=seed)
+def deep_net(seed, shared_widths=(8, 6, 4), head_widths=(4, 3), num_tasks=2):
+    # A [8, 6, 4] trunk with [4, 3] heads by default. At init scale most rows
+    # of a net this deep sit on a relu kink, and some hidden layers are dead
+    # on every row. So weights are tripled, and each hidden bias is set so that
+    # its unit's median pre-activation on a reference batch is zero.
+    net = init_net(8, list(shared_widths), list(head_widths), num_tasks, seed=seed)
     for buffer in [net.theta, *net.phi]:
         buffer *= 3.0
     x = np.random.default_rng(seed).standard_normal((256, 8))
@@ -268,6 +270,57 @@ def test_theta_grad_fn_runs_its_own_head_only():
         theta_grad_fn(net, x, y, -1)
     with pytest.raises(DimensionError, match="labels for batch"):
         theta_grad_fn(net, x, y[:-1], 0)
+
+
+def hvp_case(shared_widths, head_widths, seed=0, n=16):
+    """A centred three-task net, a kink-free batch with (n, 3) labels, and its cache."""
+    net = deep_net(seed, shared_widths, head_widths, num_tasks=3)
+    x, _ = kink_free_batch(net, n, seed=50 + seed)
+    y = (np.random.default_rng(seed).uniform(size=(n, 3)) < 0.5).astype(np.float64)
+    return net, x, y, forward(net, x)[1]
+
+
+@pytest.mark.parametrize("head_widths", [[4], [4, 3]])
+@pytest.mark.parametrize("shared_widths", [[8], [16, 8], [8, 5, 4]])
+def test_task_hvp_matches_central_differences_of_the_gradient(shared_widths, head_widths):
+    # Away from relu kinks the R-op product is the derivative of the analytic
+    # trunk gradient along v, which central differences reproduce to O(eps^2).
+    net, x, y, cache = hvp_case(shared_widths, head_widths)
+    rng = np.random.default_rng(3)
+    for t in range(3):
+        hvp = task_hvp(net, cache, y[:, t], t)
+        grad_fn = theta_grad_fn(net, x, y[:, t], t)
+        for _ in range(2):
+            v = rng.standard_normal(net.theta.size)
+            v /= np.linalg.norm(v)
+            want = finite_diff_hvp(grad_fn, net.theta, v)
+            assert np.linalg.norm(hvp(v) - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shared_widths", [[8], [16, 8], [8, 5, 4]])
+def test_task_hvp_is_symmetric_and_linear(shared_widths):
+    # u.Hv = v.Hu, H(a u + b v) = a Hu + b Hv, and H0 = 0, each in floating point.
+    net, _, y, cache = hvp_case(shared_widths, [4, 3], seed=1)
+    rng = np.random.default_rng(4)
+    for t in range(3):
+        hvp = task_hvp(net, cache, y[:, t], t)
+        u, v = rng.standard_normal((2, net.theta.size))
+        hu, hv = hvp(u), hvp(v)
+        assert abs(u @ hv - v @ hu) <= 1e-12 * abs(u @ hv)
+        mixed = hvp(2.5 * u - 0.75 * v)
+        assert np.linalg.norm(mixed - (2.5 * hu - 0.75 * hv)) <= 1e-12 * np.linalg.norm(mixed)
+        assert np.array_equal(hvp(np.zeros(net.theta.size)), np.zeros(net.theta.size))
+
+
+def test_task_hvp_refuses_a_bad_task_or_direction():
+    net, _, y, cache = hvp_case([8], [4])
+    for task in (-1, 3):
+        with pytest.raises(DimensionError, match="out of range"):
+            task_hvp(net, cache, y[:, 0], task)
+    with pytest.raises(DimensionError, match="labels for batch"):
+        task_hvp(net, cache, y[:-1, 0], 0)
+    with pytest.raises(DimensionError, match="direction has 3 entries"):
+        task_hvp(net, cache, y[:, 0], 0)(np.ones(3))
 
 
 def test_theta_loss_fn_runs_its_own_head_only():

@@ -363,11 +363,11 @@ def _two_forward_reference(net, splits, cfg, weights):
     """The training step in its two-forward form, from public calls only.
 
     Phase 1 updates each head from ``backward_task``; phase 2 runs the whole
-    net forward again, and exact-HVP gradient functions evaluate the whole
-    net through ``forward`` / ``backward_task``. Returns per-step losses and
-    cosines, eval values and transference records.
+    net forward again, and exact-HVP products come from ``task_hvp`` on that
+    second forward's cache. Returns per-step losses and cosines, eval values
+    and transference records.
     """
-    from cograd import batches, measure_transference, modify_gradients, pairwise_cosine
+    from cograd import batches, measure_transference, modify_gradients, pairwise_cosine, task_hvp
     from cograd.model import theta_loss_fn
     from cograd.trainer import evaluate_split
 
@@ -376,16 +376,6 @@ def _two_forward_reference(net, splits, cfg, weights):
     phi_states = [AdamState.zeros(phi.size) for phi in net.phi]
     moving_norms = np.zeros(num_tasks)
     losses, cosines, evals, transference = [], [], [], []
-
-    def grad_fn(x, y, t):
-        probe = net.copy()
-
-        def fn(theta):
-            probe.set_theta(theta)
-            _, cache = forward(probe, x)
-            return backward_task(probe, cache, y, t)[0].values
-
-        return fn
 
     step = epoch = 0
     while step < cfg.steps:
@@ -407,9 +397,8 @@ def _two_forward_reference(net, splits, cfg, weights):
                 grads,
                 cfg.strategy,
                 order_seed=cfg.seed * 1_000_003 + step,
-                grad_fns=[grad_fn(x, y[:, t], t) for t in range(num_tasks)],
-                theta=net.theta,
                 moving_norms=moving_norms,
+                hvp_fns=[task_hvp(net, cache, y[:, t], t) for t in range(num_tasks)],
             )
             aggregate = np.zeros(net.theta.size)
             for t in range(num_tasks):
@@ -489,6 +478,45 @@ def test_overflowing_adam_moment_raises_divergence_without_a_numpy_warning():
 
     splits = split(small_dataset(), (4, 1, 1))
     cfg = small_config(strategy=StrategyConfig(kind="cograd", gammas=(1e300, 1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="diverged at step 1"):
+            train(small_net(), splits, cfg)
+
+
+def test_exact_hvp_training_builds_no_net_and_takes_no_finite_difference(monkeypatch):
+    # Exact-HVP coordination takes its products by the R-op on the step's own
+    # cache: an S-step run constructs no net (no probe copy per task) and takes
+    # no central difference.
+    from cograd import SharedBottomNet, gradmod, tensor_core
+
+    splits = split(small_dataset(), (4, 1, 1))
+    net = small_net()
+    calls = {"nets": 0, "finite_diff_hvp": 0}
+    init, finite_diff_hvp = SharedBottomNet.__init__, tensor_core.finite_diff_hvp
+
+    def counting_init(self, *args, **kwargs):
+        calls["nets"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_finite_diff_hvp(*args, **kwargs):
+        calls["finite_diff_hvp"] += 1
+        return finite_diff_hvp(*args, **kwargs)
+
+    monkeypatch.setattr(SharedBottomNet, "__init__", counting_init)
+    for module in (tensor_core, gradmod):  # wherever the package binds it
+        monkeypatch.setattr(module, "finite_diff_hvp", counting_finite_diff_hvp)
+    strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=(0.5, 0.5))
+    _, log = train(net, splits, small_config(steps=6, strategy=strategy, eval_every=3))
+    assert len(log.steps) == 6
+    assert calls == {"nets": 0, "finite_diff_hvp": 0}
+
+
+def test_exact_hvp_with_a_huge_gamma_raises_divergence_naming_the_step():
+    import warnings
+
+    splits = split(small_dataset(), (4, 1, 1))
+    cfg = small_config(strategy=StrategyConfig(kind="cograd_exact_hvp", gammas=(1e300, 1e300)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match="diverged at step 1"):

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser(
         "validate-approx",
         parents=[config],
-        help="compare the curvature surrogate against finite-difference oracles",
+        help="compare the curvature surrogate against exact Hessian-vector products",
     )
     p_val.set_defaults(func=_cmd_validate_approx)
 

@@ -49,6 +49,7 @@ from .tasks_data import (
 from .trainer import (
     ProbeConfig,
     TrainConfig,
+    check_split_rankable,
     evaluate_split,
     probe_harmonization,
     save_metrics,
@@ -394,6 +395,8 @@ def run_one(cfg: ExperimentConfig, strategy_idx: int, seed: int) -> RunResult:
     """Train one (strategy, seed) cell and write its artifacts under ``cfg.output_dir``."""
     label = cfg.strategy_labels[strategy_idx]
     splits, net, train_cfg = _cell(cfg, strategy_idx, seed)
+    check_split_rankable(splits.val, "validation")
+    check_split_rankable(splits.test, "test")
     theta_params = net.theta.size
     started = time.perf_counter()
     try:
@@ -507,6 +510,8 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
+    if train_cfg.eval_every:
+        check_split_rankable(splits.val, "validation")
     _make_output_dir(cfg.output_dir)
     snapshots: dict[int, SharedBottomNet] = {}
     if 0 in checkpoints:

@@ -12,6 +12,10 @@ flat vectors in the same layouts, so an optimizer step updates a buffer as
 one vector.
 
 All tensors are float64. Forward and backward are pure given (net, batch).
+``predict_proba`` and ``trunk_activations`` walk a whole dataset in blocks
+of 1,024 rows (``_row_blocks``), so evaluation and the probe hold one
+block's layers at a time; the dataset check and the CSV reader of
+``tasks_data`` take the same blocks.
 ``task_hvp`` takes the exact Hessian-vector product over the trunk from a
 forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi[t]`` in place;
@@ -267,15 +271,41 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices covering rows 0..n, each starting at a multiple of ``_BLOCK_ROWS``.
+
+    A final one-row block joins the block before it. Both rules keep a
+    blocked pass bitwise equal to one unblocked pass: a BLAS product takes
+    rows in fixed-size groups counted from its first row, with other kernels
+    for a leftover group, and numpy hands a one-row product to gemv; either
+    can round a row differently.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def predict_proba(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
-    """Per-task probabilities, shape (n, T)."""
-    logits, _ = forward(net, features)
+    """Per-task probabilities, shape (n, T), one block of rows at a time."""
+    x = _features(net, features)
+    logits = np.empty((x.shape[0], net.num_tasks))
+    for rows in _row_blocks(x.shape[0]):
+        logits[rows] = forward(net, x[rows])[0]
     return sigmoid(logits)
 
 
 def trunk_activations(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
-    """Last shared-layer activations, shape (n, trunk_width); heads untouched."""
-    return _stack_forward(net.shared_layers, _features(net, features))[1][-1]
+    """Last shared-layer activations, shape (n, trunk_width), one block of rows
+    at a time; heads untouched."""
+    x = _features(net, features)
+    out = np.empty((x.shape[0], net.trunk_width))
+    for rows in _row_blocks(x.shape[0]):
+        out[rows] = _stack_forward(net.shared_layers, x[rows])[1][-1]
+    return out
 
 
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:

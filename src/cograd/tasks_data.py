@@ -18,7 +18,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, DataError
-from .model import sigmoid
+from .model import _BLOCK_ROWS, _row_blocks, sigmoid
 
 _BIAS_BRACKET = 60.0  # sigmoid saturates far inside +-60, so this always brackets
 
@@ -43,7 +43,7 @@ class MultiTaskDataset:
             raise DataError(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} label rows"
             )
-        if not np.all(np.isfinite(self.features)):
+        if not all(np.isfinite(self.features[rows]).all() for rows in _row_blocks(self.n_rows)):
             raise DataError("features contain non-finite values")
         if not np.all(np.isin(self.labels, (0.0, 1.0))):
             raise DataError("labels must be binary 0/1")
@@ -197,7 +197,9 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
     """Parse a header-first CSV laid out as: group id?, features..., labels...
 
     The label columns are the last ``n_tasks`` columns and must be literal
-    0/1. Errors name the offending physical line (header is line 1).
+    0/1. Errors name the offending physical line (header is line 1). Parsed
+    rows go to float64 arrays every 1,024 rows, so no more than one block
+    is ever held as Python lists.
     """
     if n_tasks < 1:
         raise ConfigError("n_tasks must be at least 1")
@@ -224,6 +226,8 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
         groups: list[str] = []
         feat_rows: list[list[float]] = []
         label_rows: list[list[float]] = []
+        feat_blocks: list[np.ndarray] = []
+        label_blocks: list[np.ndarray] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_cols:
                 raise CsvParseError(f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}")
@@ -247,15 +251,22 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
                 ) from None
             feat_rows.append(feats)
             label_rows.append(labs)
+            if len(feat_rows) == _BLOCK_ROWS:
+                feat_blocks.append(np.array(feat_rows))
+                label_blocks.append(np.array(label_rows))
+                feat_rows, label_rows = [], []
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     finally:
         fh.close()
-    if not feat_rows:
+    if feat_rows:
+        feat_blocks.append(np.array(feat_rows))
+        label_blocks.append(np.array(label_rows))
+    if not feat_blocks:
         raise CsvParseError(f"{path}: no data rows")
     return MultiTaskDataset(
-        np.array(feat_rows),
-        np.array(label_rows),
+        np.concatenate(feat_blocks),
+        np.concatenate(label_blocks),
         np.array(groups) if has_group_column else None,
     )
 

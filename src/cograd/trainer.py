@@ -25,7 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EvaluationError, ProbeError, UndefinedMetricError
+from .errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    EvaluationError,
+    ProbeError,
+    UndefinedMetricError,
+)
 from .gradmod import (
     StrategyConfig,
     TransferenceRecord,
@@ -204,7 +211,23 @@ def evaluate_split(net: SharedBottomNet, ds: MultiTaskDataset, split_name: str) 
     An undefined metric (a task with one label class) names ``split_name``
     and the task.
     """
-    scores = predict_proba(net, ds.features)
+    return _rank_split(predict_proba(net, ds.features), ds, split_name)
+
+
+def check_split_rankable(ds: MultiTaskDataset, split_name: str) -> None:
+    """Raise DataError, with ``evaluate_split``'s message, if it could not rank ``ds``.
+
+    Whether a task's AUC or GAUC is defined depends only on its labels and
+    groups, so ranking constant scores is an exact check.
+    """
+    try:
+        _rank_split(np.zeros((ds.n_rows, ds.n_tasks)), ds, split_name)
+    except UndefinedMetricError as exc:
+        raise DataError(str(exc)) from None
+
+
+def _rank_split(scores: np.ndarray, ds: MultiTaskDataset, split_name: str) -> EvalRecord:
+    """``evaluate_split`` on the (n, T) ``scores`` of ``ds``'s rows."""
     metric = "gauc" if ds.group_ids is not None else "auc"
     values = []
     for t in range(ds.n_tasks):

@@ -16,6 +16,7 @@ from cograd import (
     load_csv,
     resolve_config,
     run_one,
+    train,
     write_csv,
 )
 from cograd.cli import main
@@ -151,20 +152,64 @@ def write_csv_config(tmp_path, grouped=False, **overrides):
     return config, raw
 
 
-@pytest.mark.parametrize("grouped", [False, True], ids=["auc", "gauc"])
-@pytest.mark.parametrize("name, first_row", [("validation", 160), ("test", 200)])
-def test_single_class_split_names_the_split_and_task(tmp_path, capsys, grouped, name, first_row):
-    config, _ = write_csv_config(tmp_path, grouped)
-    data = tmp_path / "data.csv"
+def zero_task_1(data, first_row):
+    """Set task 1's label to 0 on the 40 data rows from ``first_row``."""
     lines = data.read_text(encoding="utf-8").splitlines()
     for i in range(first_row + 1, first_row + 41):  # line 1 is the header
         lines[i] = lines[i][: lines[i].rindex(",")] + ",0"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def counting_steps(monkeypatch):
+    """The steps every training run takes from now on, as one list."""
+    from cograd import experiments
+
+    steps = []
+
+    def counted_train(net, splits, cfg, step_callback=None):
+        def record(step, live_net):
+            steps.append(step)
+            if step_callback is not None:
+                step_callback(step, live_net)
+
+        return train(net, splits, cfg, step_callback=record)
+
+    monkeypatch.setattr(experiments, "train", counted_train)
+    return steps
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["auc", "gauc"])
+@pytest.mark.parametrize("name, first_row", [("validation", 160), ("test", 200)])
+def test_single_class_split_names_the_split_and_task(
+    tmp_path, capsys, monkeypatch, grouped, name, first_row
+):
+    config, _ = write_csv_config(tmp_path, grouped)
+    zero_task_1(tmp_path / "data.csv", first_row)
     why = "no group contains both classes" if grouped else (
         "AUC needs at least one positive and one negative label"
     )
-    assert main(["train", str(config)]) == 3
+    steps = counting_steps(monkeypatch)
+    assert main(["train", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {name} split, task 1: {why}\n"
+    assert steps == []
+
+
+@pytest.mark.parametrize("eval_every, code", [(0, 0), (3, 2)])
+def test_validate_approx_checks_the_validation_split_only_if_it_evaluates(
+    tmp_path, capsys, monkeypatch, eval_every, code
+):
+    config, raw = write_csv_config(tmp_path)
+    raw["train"]["eval_every"] = eval_every
+    config.write_text(json.dumps(raw))
+    zero_task_1(tmp_path / "data.csv", 160)
+    steps = counting_steps(monkeypatch)
+    assert main(["validate-approx", str(config)]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "error: validation split, task 1: "
+            "AUC needs at least one positive and one negative label\n"
+        )
+    assert len(steps) == (0 if code else raw["train"]["steps"])
 
 
 @pytest.mark.parametrize("command, jobs", [

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from cograd import (
     theta_grad_fn,
     trunk_activations,
 )
-from cograd.model import sigmoid
+from cograd.model import _row_blocks, sigmoid
 
 
 def small_net(seed=0):
@@ -387,6 +388,53 @@ def test_trunk_activations_match_forward_cache():
     x = batch(7, 8, seed=3)[0]
     _, cache = forward(net, x)
     assert np.array_equal(trunk_activations(net, x), cache.trunk_act[-1])
+
+
+def test_row_blocks_start_at_multiples_of_1024_and_merge_a_one_row_tail():
+    def bounds(n):
+        return [(rows.start, rows.stop) for rows in _row_blocks(n)]
+
+    assert bounds(0) == []
+    assert bounds(1) == [(0, 1)]
+    assert bounds(1024) == [(0, 1024)]
+    assert bounds(1025) == [(0, 1025)]
+    assert bounds(1026) == [(0, 1024), (1024, 1026)]
+    assert bounds(3073) == [(0, 1024), (1024, 2048), (2048, 3073)]
+
+
+@pytest.mark.parametrize("num_tasks", [2, 3])
+@pytest.mark.parametrize("shared_widths", [[8], [16, 8], [128, 64]])
+def test_blocked_passes_equal_one_unblocked_forward_bitwise(shared_widths, num_tasks):
+    # Blocks start at row 0 and every multiple of 1,024, and a one-row tail
+    # joins the block before it. A BLAS product takes rows in fixed-size
+    # groups counted from its first row, with other kernels for a leftover
+    # group, and numpy hands a one-row product to gemv; blocks that kept
+    # neither rule (1,666/1,667 rows of 8,333, say) changed last bits.
+    net = init_net(64, shared_widths, [4], num_tasks, seed=len(shared_widths))
+    x = batch(3333, 64, seed=num_tasks)[0]
+    for n in (1, 2, 1023, 1024, 1025, 2049, 3333):
+        logits, cache = forward(net, x[:n])
+        assert np.array_equal(predict_proba(net, x[:n]), sigmoid(logits))
+        assert np.array_equal(trunk_activations(net, x[:n]), cache.trunk_act[-1])
+
+
+def test_blocked_passes_hold_one_block_at_a_time():
+    net = init_net(64, [128, 64], [4], 2, seed=0)
+    x = batch(20_000, 64)[0]
+    mib = 2**20
+    tracemalloc.start()
+    try:
+        predict_proba(net, x)
+        proba_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        acts = trunk_activations(net, x)
+        acts_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # An unblocked pass holds every layer of all 20,000 rows: about 62 and 59 MiB.
+    assert proba_peak < 10 * mib
+    assert acts_peak < acts.nbytes + 5 * mib
 
 
 def test_head_must_end_in_single_identity_logit():

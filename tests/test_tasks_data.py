@@ -147,6 +147,31 @@ def test_dataset_validation():
         MultiTaskDataset(np.zeros((3, 2)), np.zeros((3, 1)), group_ids=np.array(["a"]))
 
 
+@pytest.mark.parametrize("n, row", [(3000, 1023), (2049, 2048)], ids=["block-end", "merged-tail"])
+def test_dataset_rejects_a_nan_at_a_block_edge(n, row):
+    features = np.zeros((n, 3))
+    features[row, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        MultiTaskDataset(features, np.zeros((n, 1)))
+
+
+def test_load_csv_across_blocks_is_bitwise_and_names_the_line(tmp_path):
+    ds = generate_synthetic(synth_cfg(n_samples=2500))
+    ds = MultiTaskDataset(ds.features, ds.labels, np.array([f"u{i % 7}" for i in range(2500)]))
+    path = tmp_path / "blocks.csv"
+    write_csv(ds, path)
+    back = load_csv(path, n_tasks=2, has_group_column=True)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.group_ids, ds.group_ids)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1029] = lines[1029][: lines[1029].rindex(",")] + ",2"  # line 1 is the header
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path, n_tasks=2, has_group_column=True)
+    assert str(exc.value) == f"{path}:1030: label must be 0 or 1, got '2' in column 11"
+
+
 def test_load_csv_literal_values(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("f0,f1,label0,label1\n0.5,-1.25,1,0\n2.0,3.5,0,1\n", encoding="utf-8")

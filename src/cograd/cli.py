@@ -2,7 +2,8 @@
 
 Subcommands:
   train <config>             run every (strategy x seed) cell plus comparison
-  validate-approx <config>   audit the curvature surrogate against oracles
+  validate-approx <config>   audit the curvature surrogate against exact
+                             Hessian-vector products
   probe <ckpt> <data>        knowledge-harmonization probe of a checkpoint
   capacity-sweep <config>    base vs doubled first-shared-width comparison
 

@@ -1,15 +1,20 @@
 """Shared-bottom multi-task network with hand-derived backpropagation.
 
 The network is a dense trunk shared by all tasks followed by one small head
-per task; every head ends in a single logit. Shared parameters (the trunk)
-and task-specific parameters (each head) are kept strictly separate so that
-per-task trunk gradients can be extracted and modified independently of the
-head updates.
+per task; every head ends in a single logit, and all heads have one
+architecture (the same layer shapes and activations). Shared parameters (the
+trunk) and task-specific parameters (the heads) are kept strictly separate
+so that per-task trunk gradients can be extracted and modified independently
+of the head updates.
 
-The net owns its parameters as flat buffers, one for the trunk and one per
-head, and its layers' tensors are views into them. Gradients come back as
-flat vectors in the same layouts, so an optimizer step updates a buffer as
-one vector.
+The net owns its parameters as flat buffers: ``theta`` for the trunk and one
+(T, P_h) array ``phi`` for the heads, row t being head t. Its layers' tensors
+are views into them, each head layer also stacked over a leading task axis.
+Forward, backward and the trunk's Hessian-vector products run each layer
+once for all T tasks, one (T, ...) array per layer; a stacked matmul makes
+the same BLAS call per task as a single product, so each task's numbers are
+bitwise those of its own pass. ``backward_task`` and ``task_hvp`` run the
+same code on a one-task stack.
 
 All tensors are float64. Forward and backward are pure given (net, batch).
 ``predict_proba`` and ``trunk_activations`` walk a whole dataset in blocks
@@ -18,16 +23,16 @@ block's layers at a time; the dataset check and the CSV reader of
 ``tasks_data`` take the same blocks.
 ``task_hvp`` takes the exact Hessian-vector product over the trunk from a
 forward pass's cache, by the R-op, with no finite differences.
-The trainer writes its updates into ``theta`` and ``phi[t]`` in place;
+The trainer writes its updates into ``theta`` and ``phi`` in place;
 ``set_theta`` / ``set_phi`` write a whole vector after checking its length.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,10 +69,12 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
+class StackedLayer(NamedTuple):
+    """One head layer of every task, as views into the heads buffer."""
+
+    weights: np.ndarray  # (T, fan_in, fan_out)
+    bias: np.ndarray  # (T, fan_out)
+    activation: str
 
 
 class SharedBottomNet:
@@ -75,15 +82,18 @@ class SharedBottomNet:
 
     ``shared_layers`` may be empty (features pass straight into the heads);
     each head is a list of layers whose last layer has width 1 and identity
-    activation.
+    activation, and every head has the layer shapes and activations of head 0.
 
     The net owns its parameters as flat float64 buffers: ``theta`` for the
-    trunk and ``phi[t]`` for head t. Each buffer holds its tensors ordered by
-    name as strings (``shared.<i>.bias`` before ``shared.<i>.weight``, and
+    trunk and the (T, P_h) array ``phi`` for the heads, whose row ``phi[t]``
+    is head t. Each buffer (or row) holds its tensors ordered by name as
+    strings (``shared.<i>.bias`` before ``shared.<i>.weight``, and
     ``shared.10.*`` before ``shared.2.*``), each row-major, as described by
     ``theta_layout`` / ``phi_layouts[t]``. Every layer's ``weights`` and
-    ``bias`` are views into those buffers. The constructor copies the values
-    of the layers it is given, so a net never shares memory with them.
+    ``bias`` are views into those buffers: ``task_heads[t][i]`` is head t's
+    layer i, and ``head_layers[i]`` is layer i of every head. The constructor
+    copies the values of the layers it is given, so a net never shares memory
+    with them.
     """
 
     def __init__(
@@ -97,25 +107,20 @@ class SharedBottomNet:
         if not task_heads:
             raise ConfigError("at least one task head required")
         self.input_dim = int(input_dim)
-        self.theta, self.theta_layout, self.shared_layers, self._theta_slots = _own(
-            "shared", shared_layers
-        )
-        heads = [_own(f"task{t}", head) for t, head in enumerate(task_heads)]
-        self.phi, self.phi_layouts, self.task_heads, self._phi_slots = (
-            list(group) for group in zip(*heads)
-        )
-        self._check_chaining()
-
-    def _check_chaining(self) -> None:
-        trunk_out = _chain(self.shared_layers, self.input_dim, "shared")
-        for t, head in enumerate(self.task_heads):
-            if not head:
-                raise ConfigError(f"task {t} head has no layers")
-            _chain(head, trunk_out, f"heads[{t}]")
-            if head[-1].fan_out != 1:
-                raise ConfigError(f"task {t} head must end in a single logit")
-            if head[-1].activation != "identity":
-                raise ConfigError(f"task {t} output layer must use identity activation")
+        _check_layers(self.input_dim, shared_layers, task_heads)
+        self.theta_layout, self._theta_slots, size = _layout("shared", shared_layers)
+        self.theta = np.empty(size)
+        self.shared_layers = _own(self.theta, self._theta_slots, shared_layers)
+        self.phi_layouts = [_layout(f"task{t}", head)[0] for t, head in enumerate(task_heads)]
+        _, self._phi_slots, size = _layout("task", task_heads[0])
+        self.phi = np.empty((len(task_heads), size))
+        self.task_heads = [_own(row, self._phi_slots, h) for row, h in zip(self.phi, task_heads)]
+        self.head_layers = [
+            StackedLayer(
+                self.phi[:, w].reshape(-1, *layer.weights.shape), self.phi[:, b], layer.activation
+            )
+            for layer, (w, b) in zip(self.task_heads[0], self._phi_slots)
+        ]
 
     @property
     def num_tasks(self) -> int:
@@ -142,6 +147,25 @@ class SharedBottomNet:
         return SharedBottomNet(self.input_dim, self.shared_layers, self.task_heads)
 
 
+def _check_layers(
+    input_dim: int, shared_layers: list[DenseLayer], task_heads: list[list[DenseLayer]]
+) -> None:
+    """Check that the layers chain, that each head ends in one identity logit,
+    and that every head has head 0's layer shapes and activations."""
+    trunk_out = _chain(shared_layers, input_dim, "shared")
+    first = [(layer.weights.shape, layer.activation) for layer in task_heads[0]]
+    for t, head in enumerate(task_heads):
+        if not head:
+            raise ConfigError(f"task {t} head has no layers")
+        _chain(head, trunk_out, f"heads[{t}]")
+        if head[-1].fan_out != 1:
+            raise ConfigError(f"task {t} head must end in a single logit")
+        if head[-1].activation != "identity":
+            raise ConfigError(f"task {t} output layer must use identity activation")
+        if [(layer.weights.shape, layer.activation) for layer in head] != first:
+            raise ConfigError(f"heads[{t}] differs from heads[0] in layer shapes or activations")
+
+
 def _chain(layers: list[DenseLayer], width: int, name: str) -> int:
     """Check that each layer takes the previous one's width; returns the output width."""
     for i, layer in enumerate(layers):
@@ -151,45 +175,66 @@ def _chain(layers: list[DenseLayer], width: int, name: str) -> int:
     return width
 
 
-def _own(
+def _layout(
     prefix: str, layers: list[DenseLayer]
-) -> tuple[np.ndarray, tuple[LayoutEntry, ...], list[DenseLayer], list[tuple[slice, slice]]]:
-    """Copy ``layers`` into one flat buffer ordered by tensor name.
+) -> tuple[tuple[LayoutEntry, ...], list[tuple[slice, slice]], int]:
+    """Places of ``layers``' tensors in one flat vector ordered by tensor name.
 
-    Returns the buffer, its layout, layers whose tensors are views into it,
-    and each layer's (weight, bias) slice of the buffer.
+    Returns the layout, each layer's (weight, bias) slice of the vector, and
+    the vector's length.
     """
-    tensors: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     for i, layer in enumerate(layers):
-        tensors[f"{prefix}.{i}.weight"] = layer.weights
-        tensors[f"{prefix}.{i}.bias"] = layer.bias
+        shapes[f"{prefix}.{i}.weight"] = layer.weights.shape
+        shapes[f"{prefix}.{i}.bias"] = layer.bias.shape
     layout: list[LayoutEntry] = []
     where: dict[str, slice] = {}
     offset = 0
-    for name in sorted(tensors):
-        layout.append(LayoutEntry(name, tensors[name].shape, offset))
+    for name in sorted(shapes):
+        layout.append(LayoutEntry(name, shapes[name], offset))
         where[name] = slice(offset, offset + layout[-1].size)
         offset = where[name].stop
-    buffer = np.empty(offset)
-    slots, views = [], []
-    for i, layer in enumerate(layers):
-        w, b = where[f"{prefix}.{i}.weight"], where[f"{prefix}.{i}.bias"]
+    names = [(f"{prefix}.{i}.weight", f"{prefix}.{i}.bias") for i in range(len(layers))]
+    slots = [(where[w], where[b]) for w, b in names]
+    return tuple(layout), slots, offset
+
+
+def _own(
+    buffer: np.ndarray, slots: list[tuple[slice, slice]], layers: list[DenseLayer]
+) -> list[DenseLayer]:
+    """Copy ``layers`` into ``buffer`` at ``slots``; returns layers whose
+    tensors are views into it."""
+    views = []
+    for layer, (w, b) in zip(layers, slots):
         buffer[w], buffer[b] = layer.weights.ravel(), layer.bias
-        slots.append((w, b))
         weights = buffer[w].reshape(layer.weights.shape)
         views.append(DenseLayer(weights, buffer[b], layer.activation))
-    return buffer, tuple(layout), views, slots
+    return views
 
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations for one batch."""
+    """Per-layer pre-activations, relu masks and activations for one batch.
+
+    Trunk entries are (n, width); head entries are stacked over tasks,
+    (T, n, width), entry i being head layer i. A relu layer's mask is True
+    where its pre-activation is positive (its slope, with the slope at 0
+    taken as 0); an identity layer's mask is None.
+    """
 
     features: np.ndarray
     trunk_pre: list[np.ndarray]
-    trunk_act: list[np.ndarray]  # trunk_act[-1] feeds every head
-    head_pre: list[list[np.ndarray]]
-    head_act: list[list[np.ndarray]]
+    trunk_mask: list[np.ndarray | None]
+    trunk_act: list[np.ndarray]  # led by the features; trunk_act[-1] feeds every head
+    heads_pre: list[np.ndarray]
+    heads_mask: list[np.ndarray | None]
+    heads_act: list[np.ndarray]  # each head layer's output
+
+    @property
+    def head_pre(self) -> list[list[np.ndarray]]:
+        """Per-task views of ``heads_pre``: ``head_pre[t][i]`` is task t's at head layer i."""
+        tasks = len(self.heads_pre[0]) if self.heads_pre else 0
+        return [[pre[t] for pre in self.heads_pre] for t in range(tasks)]
 
 
 def init_net(
@@ -236,33 +281,36 @@ def _features(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
 
 
 def _stack_forward(
-    layers: list[DenseLayer], a: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run ``a`` through ``layers``: pre-activations, and activations led by ``a``."""
+    layers: list[DenseLayer] | list[StackedLayer], a: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray | None], list[np.ndarray]]:
+    """Run ``a`` through ``layers``: pre-activations, relu masks, and activations led by ``a``."""
     pres: list[np.ndarray] = []
+    masks: list[np.ndarray | None] = []
     acts: list[np.ndarray] = [a]
     for layer in layers:
-        pres.append(a @ layer.weights + layer.bias)
-        a = _apply_activation(layer.activation, pres[-1])
+        pres.append(a @ layer.weights + layer.bias[..., None, :])
+        relu = layer.activation == "relu"
+        masks.append(pres[-1] > 0.0 if relu else None)
+        a = np.maximum(pres[-1], 0.0) if relu else pres[-1]
         acts.append(a)
-    return pres, acts
+    return pres, masks, acts
 
 
 def forward(net: SharedBottomNet, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch through the net; returns (n, T) logits and the cache."""
     x = _features(net, features)
-    trunk_pre, trunk_act = _stack_forward(net.shared_layers, x)
-    return _heads_forward(net, ForwardCache(x, trunk_pre, trunk_act, [], []))
+    trunk = _stack_forward(net.shared_layers, x)
+    return _heads_forward(net, ForwardCache(x, *trunk, [], [], []))
 
 
 def _heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray, ForwardCache]:
     """Run every head on the cached trunk output; returns logits and a new cache."""
-    head_pre, head_act = zip(*(_stack_forward(h, cache.trunk_act[-1]) for h in net.task_heads))
-    logits = np.concatenate([acts[-1] for acts in head_act], axis=1)
+    pres, masks, acts = _stack_forward(net.head_layers, cache.trunk_act[-1])
+    logits = pres[-1][..., 0].T  # the output layer is the identity
     if not np.all(np.isfinite(logits)):
         raise EvaluationError("forward produced non-finite logits")
-    head_act = [acts[1:] for acts in head_act]  # a head's input is trunk_act[-1]
-    return logits, replace(cache, head_pre=list(head_pre), head_act=head_act)
+    trunk = cache.trunk_pre, cache.trunk_mask, cache.trunk_act
+    return logits, ForwardCache(cache.features, *trunk, pres, masks, acts[1:])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -304,7 +352,7 @@ def trunk_activations(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
     x = _features(net, features)
     out = np.empty((x.shape[0], net.trunk_width))
     for rows in _row_blocks(x.shape[0]):
-        out[rows] = _stack_forward(net.shared_layers, x[rows])[1][-1]
+        out[rows] = _stack_forward(net.shared_layers, x[rows])[2][-1]
     return out
 
 
@@ -316,46 +364,47 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         raise DimensionError(f"{z.size} logits vs {y.size} labels")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise DataError("labels must be binary 0/1")
-    return _bce(z, y)
+    return float(_bce(z, y))
 
 
-def _bce(z: np.ndarray, y: np.ndarray) -> float:
-    """``task_loss`` without its checks, for 1-D float64 logits and 0/1 labels."""
+def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``task_loss`` without its checks, for float64 logits and 0/1 labels of
+    one shape: the mean over the last axis, so (T, n) gives T losses."""
     # max(z,0) - z*y + log(1 + exp(-|z|)) avoids overflow for large |z|.
     per_row = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(per_row))
+    return np.add.reduce(per_row, axis=-1) / z.shape[-1]
 
 
-def _through_activation(layer: DenseLayer, pre: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x`` times ``layer``'s activation slope at ``pre``; a relu's slope at 0 is taken as 0."""
-    if layer.activation == "relu":
-        return x * (pre > 0.0).astype(np.float64)
-    return x
+def _masked(mask: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``x`` times a layer's activation slope, given its relu mask (None for the identity)."""
+    return x if mask is None else x * mask
 
 
 def _stack_backward(
-    layers: list[DenseLayer], pres: list[np.ndarray], inputs: list[np.ndarray] | None,
+    layers: list[DenseLayer] | list[StackedLayer], masks: list, inputs: list | None,
     grad_out: np.ndarray, slots: list[tuple[slice, slice]] | None, grad: np.ndarray | None,
     deltas: list | None = None,
 ) -> np.ndarray:
-    """Backpropagate ``grad_out``, the loss gradient at the stack's output.
+    """Backpropagate ``grad_out``, the (k, n, width) loss gradients of k stacked
+    tasks at the stack's output.
 
-    Writes each layer's weight and bias gradient into ``grad`` (if given) at its slot,
-    given layer i's pre-activation ``pres[i]`` and input ``inputs[i]``, and
-    returns the gradient at the first layer's pre-activation. ``deltas[i]`` (if
-    given) receives the gradient at layer i's pre-activation.
+    Writes each layer's weight and bias gradient into row r of ``grad`` (if
+    given) at its slot, given layer i's relu mask ``masks[i]`` and input
+    ``inputs[i]``, and returns the gradient at the first layer's
+    pre-activation. ``deltas[i]`` (if given) receives the gradient at layer
+    i's pre-activation.
     """
     delta = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        delta = _through_activation(layers[i], pres[i], delta)
+        delta = _masked(masks[i], delta)
         if deltas is not None:
             deltas[i] = delta
         if grad is not None:
             w, b = slots[i]
-            grad[w] = (inputs[i].T @ delta).ravel()
-            grad[b] = delta.sum(axis=0)
+            grad[:, w] = (inputs[i].swapaxes(-1, -2) @ delta).reshape(len(grad), -1)
+            grad[:, b] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ layers[i].weights.T
+            delta = delta @ layers[i].weights.swapaxes(-1, -2)
     return delta
 
 
@@ -373,11 +422,11 @@ def backward_task(
     zero and are not materialized.
     """
     y = _checked_labels(net, cache, labels, task_id)
-    grad_theta, grad_phi = np.empty(net.theta.size), np.empty(net.phi[task_id].size)
-    _task_backward(net, cache, y, task_id, grad_phi, grad_theta)
+    grad_theta, grad_phi = np.empty((1, net.theta.size)), np.empty((1, net.phi.shape[1]))
+    _backward(net, cache, y[None], slice(task_id, task_id + 1), grad_phi, grad_theta)
     return (
-        ParamVector(grad_theta, net.theta_layout),
-        ParamVector(grad_phi, net.phi_layouts[task_id]),
+        ParamVector(grad_theta[0], net.theta_layout),
+        ParamVector(grad_phi[0], net.phi_layouts[task_id]),
     )
 
 
@@ -387,36 +436,50 @@ def _checked_labels(
     """``labels`` as a 1-D float64 vector, once ``task`` and ``cache`` fit the net and batch."""
     if not 0 <= task < net.num_tasks:
         raise DimensionError(f"task_id {task} out of range")
-    if len(cache.trunk_pre) != len(net.shared_layers) or len(cache.head_pre[task]) != len(
-        net.task_heads[task]
-    ):
+    layers = len(cache.trunk_pre), len(cache.heads_pre)
+    if layers != (len(net.shared_layers), len(net.head_layers)):
         raise DimensionError("stale cache: layer count mismatch")
     n = cache.features.shape[0]
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != n:
         raise DimensionError(f"{y.size} labels for batch of {n}")
-    if cache.head_pre[task][-1].shape[0] != n:
-        raise DimensionError("stale cache: batch size mismatch")
+    if cache.heads_pre[-1].shape[:2] != (net.num_tasks, n):
+        raise DimensionError("stale cache: task count or batch size mismatch")
     return y
 
 
-def _task_backward(
-    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int,
+def _heads(net: SharedBottomNet, cache: ForwardCache, tasks: slice | None) -> list[list]:
+    """Head layers and the cache's head pre-activations, masks and activations:
+    every task's, or those of the one-task stack that ``tasks`` selects."""
+    parts = [net.head_layers, cache.heads_pre, cache.heads_mask, cache.heads_act]
+    if tasks is None:
+        return parts
+    layers = [StackedLayer(lay.weights[tasks], lay.bias[tasks], lay.activation) for lay in parts[0]]
+    return [layers] + [[None if a is None else a[tasks] for a in part] for part in parts[1:]]
+
+
+def _backward(
+    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, tasks: slice | None = None,
     grad_phi: np.ndarray | None = None, grad_theta: np.ndarray | None = None,
     deltas: list | None = None,
 ) -> None:
-    """Backpropagate task ``task``'s mean BCE on 1-D ``labels`` into ``grad_phi`` (its head),
-    ``grad_theta`` (the trunk) and ``deltas`` (the gradient at each trunk pre-activation),
-    each only if given: with neither ``grad_theta`` nor ``deltas`` the trunk is skipped."""
-    pres, head = cache.head_pre[task], net.task_heads[task]
+    """Backpropagate the mean BCE of k stacked tasks on their (k, n) ``labels``.
+
+    The tasks are all T, or the one-task stack that the slice ``tasks``
+    selects. Writes row r of ``grad_phi`` (k, P_h) and ``grad_theta`` (k, P)
+    for the r-th task, and ``deltas[i]``, the (k, n, width) gradient at trunk
+    pre-activation i, each only if given: with neither ``grad_theta`` nor
+    ``deltas`` the trunk is skipped.
+    """
+    layers, pres, masks, acts = _heads(net, cache, tasks)
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (sigmoid(pres[-1]) - labels[:, None]) / labels.size
-    inputs = [cache.trunk_act[-1], *cache.head_act[task]]
-    delta = _stack_backward(head, pres, inputs, delta, net._phi_slots[task], grad_phi)
+    delta = (sigmoid(pres[-1]) - labels[..., None]) / labels.shape[-1]
+    inputs = [cache.trunk_act[-1], *acts]
+    delta = _stack_backward(layers, masks, inputs, delta, net._phi_slots, grad_phi)
     if (grad_theta is not None or deltas is not None) and net.shared_layers:
         _stack_backward(  # head input gradient = trunk output gradient
-            net.shared_layers, cache.trunk_pre, cache.trunk_act, delta @ head[0].weights.T,
-            net._theta_slots, grad_theta, deltas,
+            net.shared_layers, cache.trunk_mask, cache.trunk_act,
+            delta @ layers[0].weights.swapaxes(-1, -2), net._theta_slots, grad_theta, deltas,
         )
 
 
@@ -435,53 +498,69 @@ def task_hvp(
     current trunk weights, so it holds until they change.
     """
     y = _checked_labels(net, cache, labels, task)
+    tasks = slice(task, task + 1)
     deltas: list = [None] * len(net.shared_layers)
-    _task_backward(net, cache, y, task, deltas=deltas)
-    return _trunk_hvp(net, cache, task, deltas)
-
-
-def _trunk_hvp(
-    net: SharedBottomNet, cache: ForwardCache, task: int, deltas: list
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``task_hvp`` from ``deltas``, the loss gradient at each trunk pre-activation."""
-    trunk, slots = net.shared_layers, net._theta_slots
-    head, pres = net.task_heads[task], cache.head_pre[task]
-    n = cache.features.shape[0]
-    # Each row's logit gradient at the trunk output. The head is fixed and its
-    # relu pattern too, so a tangent crosses it along this row, and so does
-    # its R-backward.
-    jac = _stack_backward(head, pres, None, np.ones((n, 1)), None, None) @ head[0].weights.T
-    p = sigmoid(pres[-1])
-    curvature = p * (1.0 - p) / n  # the mean BCE's second derivative in the logit
+    _backward(net, cache, y[None], tasks, deltas=deltas)
+    stacked = _trunk_hvp(net, cache, deltas, tasks)
 
     def hvp(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64).ravel()
         if v.size != net.theta.size:
             raise DimensionError(f"direction has {v.size} entries, the trunk {net.theta.size}")
+        return stacked(v[None])[0]
+
+    return hvp
+
+
+def _trunk_hvp(
+    net: SharedBottomNet, cache: ForwardCache, deltas: list, tasks: slice | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``task_hvp`` of k stacked tasks at once: ``V -> HV`` for (k, P) arrays,
+    row r of HV being the r-th task's H times ``V[r]``.
+
+    The tasks are all T, or the one-task stack that the slice ``tasks``
+    selects; ``deltas`` holds their (k, n, width) loss gradients at each trunk
+    pre-activation.
+    """
+    trunk, slots = net.shared_layers, net._theta_slots
+    layers, pres, masks, _ = _heads(net, cache, tasks)
+    k, n = pres[-1].shape[:2]
+    # Each row's logit gradient at the trunk output. The head is fixed and its
+    # relu pattern too, so a tangent crosses it along this row, and so does
+    # its R-backward.
+    jac = _stack_backward(layers, masks, None, np.ones((k, n, 1)), None, None)
+    jac = jac @ layers[0].weights.swapaxes(-1, -2)
+    p = sigmoid(pres[-1])
+    curvature = p * (1.0 - p) / n  # the mean BCE's second derivative in the logit
+
+    def hvp(V: np.ndarray) -> np.ndarray:
         if not trunk:
-            return np.zeros(0)
-        tangents = [(v[w].reshape(lay.weights.shape), v[b]) for lay, (w, b) in zip(trunk, slots)]
+            return np.zeros((k, 0))
+        tangents = [
+            (V[:, w].reshape(k, *lay.weights.shape), V[:, b][:, None])
+            for lay, (w, b) in zip(trunk, slots)
+        ]
         # Tangent forward: R(z_i) = R(a_i) W_i + a_i dW_i + db_i, and R(a_0) = 0.
         r_acts = [None]
         for i, (layer, (dw, db)) in enumerate(zip(trunk, tangents)):
             r_pre = cache.trunk_act[i] @ dw + db
             if i:
                 r_pre += r_acts[i] @ layer.weights
-            r_acts.append(_through_activation(layer, cache.trunk_pre[i], r_pre))
-        r_logit = np.sum(r_acts[-1] * jac, axis=1, keepdims=True)
+            r_acts.append(_masked(cache.trunk_mask[i], r_pre))
+        r_logit = np.sum(r_acts[-1] * jac, axis=-1, keepdims=True)
         r_delta = curvature * r_logit * jac  # R(dL/da) at the trunk output
         # Down the trunk: R(dL/dW_i) = a_i' R(delta_i) + R(a_i)' delta_i, and
         # R(delta) crosses a layer as R(delta_i) W_i' + delta_i dW_i'.
-        out = np.empty(v.size)
+        out = np.empty((k, net.theta.size))
         for i in range(len(trunk) - 1, -1, -1):
-            r_delta = _through_activation(trunk[i], cache.trunk_pre[i], r_delta)
+            r_delta = _masked(cache.trunk_mask[i], r_delta)
             w, b = slots[i]
             grad_w = cache.trunk_act[i].T @ r_delta
-            out[b] = r_delta.sum(axis=0)
+            out[:, b] = r_delta.sum(axis=-2)
             if i:
-                grad_w += r_acts[i].T @ deltas[i]
-                r_delta = r_delta @ trunk[i].weights.T + deltas[i] @ tangents[i][0].T
-            out[w] = grad_w.ravel()
+                grad_w += r_acts[i].swapaxes(-1, -2) @ deltas[i]
+                r_delta = r_delta @ trunk[i].weights.T + deltas[i] @ tangents[i][0].swapaxes(-1, -2)
+            out[:, w] = grad_w.reshape(k, -1)
         return out
 
     return hvp
@@ -523,9 +602,9 @@ def theta_grad_fn(
     def fn(theta: np.ndarray) -> np.ndarray:
         probe.set_theta(theta)
         _, cache = forward(probe, x)
-        grad_theta = np.empty(probe.theta.size)
-        _task_backward(probe, cache, y, 0, grad_theta=grad_theta)
-        return grad_theta
+        grad_theta = np.empty((1, probe.theta.size))
+        _backward(probe, cache, y[None], grad_theta=grad_theta)
+        return grad_theta[0]
 
     return fn
 

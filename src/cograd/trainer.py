@@ -1,13 +1,18 @@
 """Multi-task training loop, optimizers, instrumentation, and the probe.
 
-One training step on a batch runs the trunk forward once:
+One training step on a batch runs the trunk forward once, and each head
+layer, the trunk backward and the curvature products once for all T tasks,
+over a leading task axis:
 
-1. update each task head from its own weighted loss gradient (heads only),
-2. re-run the heads on the cached trunk activations, then take one trunk
-   backward pass per task, writing task t's gradient over the P shared
-   parameters into row t of one (T, P) array,
+1. one stacked head backward pass gives every head its own task's loss
+   gradient, as one (T, P_h) array; each row is scaled by its task's loss
+   weight, and one optimizer step updates the whole (T, P_h) heads buffer,
+2. re-run the heads on the cached trunk activations, then take one stacked
+   head and trunk backward pass, which writes task t's gradient over the P
+   shared parameters into row t of one (T, P) array,
 3. pass that array through the configured gradient strategy, which returns
-   the modified gradients as another (T, P) array,
+   the modified gradients as another (T, P) array; exact-HVP coordination
+   takes every task's R-op product in one stacked call per partner round,
 4. apply one optimizer step to the trunk on the weighted sum of its rows.
 
 Head updates never see the strategy: gradient coordination acts on shared
@@ -43,9 +48,9 @@ from .gradmod import (
 from .metrics import evaluate_auc, evaluate_gauc, loss_weights_from_prior
 from .model import (
     SharedBottomNet,
+    _backward,
     _bce,
     _heads_forward,
-    _task_backward,
     _trunk_hvp,
     forward,
     predict_proba,
@@ -69,8 +74,8 @@ class AdamState:
     step_count: int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
+    def zeros(cls, shape: int | tuple[int, ...]) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def adam_step(params, grad, state: AdamState, eta: float) -> np.ndarray:
@@ -265,7 +270,7 @@ def train(
 
     use_adam = cfg.optimizer == "adam"
     theta_state = AdamState.zeros(net.theta.size) if use_adam else None
-    phi_states = [AdamState.zeros(phi.size) if use_adam else None for phi in net.phi]
+    heads_state = AdamState.zeros(net.phi.shape) if use_adam else None
     moving_norms = np.zeros(num_tasks)
 
     # Overflow and invalid values raise DivergenceError naming the step, by
@@ -277,35 +282,30 @@ def train(
             shuffle_seed = cfg.seed * 1_000_003 + epoch if cfg.shuffle else None
             for rows in batches(data.n_rows, cfg.batch_size, shuffle_seed):
                 step += 1
-                x, y = data.features[rows], data.labels[rows]
+                x = np.take(data.features, rows, axis=0)
+                y = np.take(data.labels, rows, axis=0).T.copy()  # (T, n): row t is task t's
                 try:
-                    # Phase 1: head updates from each task's own weighted loss.
+                    # Phase 1: every head steps on its own task's weighted loss gradient.
                     _, cache = forward(net, x)
-                    for t in range(num_tasks):
-                        grad_phi = np.empty(net.phi[t].size)
-                        _task_backward(net, cache, y[:, t], t, grad_phi=grad_phi)
-                        phi_grad = weights[t] * grad_phi
-                        net.phi[t][...] = _optimizer_step(
-                            net.phi[t], phi_grad, phi_states[t], lr, step
-                        )
+                    grad_heads = np.empty(net.phi.shape)
+                    _backward(net, cache, y, grad_phi=grad_heads)
+                    net.phi[...] = _optimizer_step(
+                        net.phi, weights[:, None] * grad_heads, heads_state, lr, step
+                    )
 
                     # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
                     logits, cache = _heads_forward(net, cache)
                 except EvaluationError as exc:
                     raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
-                losses = []
-                raw_grads = np.empty((num_tasks, net.theta.size))
-                deltas = [[None] * len(net.shared_layers) for _ in range(num_tasks)]
-                for t in range(num_tasks):
-                    losses.append(_bce(logits[:, t], y[:, t]))
-                    _task_backward(
-                        net, cache, y[:, t], t, grad_theta=raw_grads[t], deltas=deltas[t]
-                    )
-                if not all(np.isfinite(losses)):
+                losses = _bce(logits.T, y)
+                if not np.isfinite(losses).all():
                     raise DivergenceError(f"training diverged at step {step}: non-finite loss")
+                raw_grads = np.empty((num_tasks, net.theta.size))
+                deltas = [None] * len(net.shared_layers)
+                _backward(net, cache, y, grad_theta=raw_grads, deltas=deltas)
 
                 if cfg.transference_every and step % cfg.transference_every == 0:
-                    loss_fns = [theta_loss_fn(net, x, y[:, t], t) for t in range(num_tasks)]
+                    loss_fns = [theta_loss_fn(net, x, y[t], t) for t in range(num_tasks)]
                     log.transference.extend(
                         measure_transference(
                             step,
@@ -318,7 +318,7 @@ def train(
 
                 hvp_fns = None
                 if cfg.strategy.kind == "cograd_exact_hvp":
-                    hvp_fns = [_trunk_hvp(net, cache, t, deltas[t]) for t in range(num_tasks)]
+                    hvp_fns = _trunk_hvp(net, cache, deltas)
                 modified = modify_gradients(
                     raw_grads,
                     cfg.strategy,
@@ -331,7 +331,7 @@ def train(
                 net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
 
                 cosines = pairwise_cosine(raw_grads)
-                log.add_step(StepRecord(step=step, losses=tuple(losses), cosines=cosines))
+                log.add_step(StepRecord(step=step, losses=tuple(losses.tolist()), cosines=cosines))
                 if cfg.eval_every and step % cfg.eval_every == 0:
                     record = evaluate_split(net, splits.val, "validation")
                     log.add_eval(EvalRecord(step=step, metric=record.metric, values=record.values))

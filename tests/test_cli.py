@@ -517,6 +517,15 @@ def _nan_first_weight(ckpt):
     ckpt["shared"][0]["weights"][0][0] = float("nan")
 
 
+def _widen_head_1(ckpt):
+    # Head 1 stays a valid head on its own, one hidden unit wider than head 0.
+    first, last = ckpt["heads"][1]
+    for row in first["weights"]:
+        row.append(0.0)
+    first["bias"].append(0.0)
+    last["weights"].append([0.0])
+
+
 @pytest.mark.parametrize(
     "mangle, named",
     [
@@ -529,6 +538,7 @@ def _nan_first_weight(ckpt):
         (lambda ckpt: ckpt.update(num_tasks=5), "num_tasks does not match its layers"),
         (lambda ckpt: ckpt.update(theta_layout=[]), "theta_layout does not match its layers"),
         (lambda ckpt: ckpt.pop("theta_layout"), "missing key 'theta_layout'"),
+        (_widen_head_1, "heads[1] differs from heads[0]"),
     ],
     ids=[
         "nan_weight",
@@ -540,6 +550,7 @@ def _nan_first_weight(ckpt):
         "wrong_num_tasks",
         "empty_theta_layout",
         "missing_theta_layout",
+        "heads_differ",
     ],
 )
 def test_probe_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, mangle, named):

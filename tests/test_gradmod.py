@@ -267,6 +267,31 @@ def test_cograd_exact_hvp_on_a_wide_trunk_is_linear_in_gamma():
         np.testing.assert_allclose(g - b, 2.0 * (g - a), rtol=1e-9, atol=1e-14)
 
 
+@pytest.mark.parametrize("gammas", [(0.05, 0.02, 0.1), (0.05, 0.0, 0.1), (0.0, 0.0, 0.0)])
+def test_stacked_products_match_per_task_products_bitwise(gammas):
+    # Training passes one stacked R-op for every task; each row subtracts its
+    # partners in ascending j, so it equals T per-task task_hvp products bit for
+    # bit at T = 3, a zero gamma included.
+    from cograd import model
+
+    rng = np.random.default_rng(10)
+    net = init_net(6, [8, 5, 4], [4, 3], 3, seed=2)
+    x = rng.standard_normal((50, 6))
+    y = (rng.uniform(size=(50, 3)) < 0.4).astype(float)
+    _, cache = forward(net, x)
+    grads = np.empty((3, net.theta.size))
+    deltas = [None] * len(net.shared_layers)
+    model._backward(net, cache, np.ascontiguousarray(y.T), grad_theta=grads, deltas=deltas)
+    for t in range(3):
+        assert np.array_equal(grads[t], backward_task(net, cache, y[:, t], t)[0].values)
+    per_task = [task_hvp(net, cache, y[:, t], t) for t in range(3)]
+    strategy = cfg(gammas=gammas)
+    stacked = cograd_modify_exact_hvp(grads, model._trunk_hvp(net, cache, deltas), strategy)
+    assert np.array_equal(stacked, cograd_modify_exact_hvp(grads, per_task, strategy))
+    if not any(gammas):
+        assert np.array_equal(stacked, grads)
+
+
 def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
     # Gradient functions and a point, the older call, still work: the products
     # are central differences of unscaled partner gradients, so the correction

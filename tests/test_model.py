@@ -444,6 +444,38 @@ def test_head_must_end_in_single_identity_logit():
         SharedBottomNet(4, trunk, [[bad]])
 
 
+def test_heads_must_share_one_architecture():
+    # The heads are one (T, P_h) buffer run as one stack, so a head whose layer
+    # shapes, depth or activations differ from head 0's is refused by name.
+    trunk = [DenseLayer(np.zeros((4, 8)), np.zeros(8), "relu")]
+
+    def head(width=3, activation="relu"):
+        return [
+            DenseLayer(np.zeros((8, width)), np.zeros(width), activation),
+            DenseLayer(np.zeros((width, 1)), np.zeros(1), "identity"),
+        ]
+
+    shallow = [DenseLayer(np.zeros((8, 1)), np.zeros(1), "identity")]
+    for other in (head(width=5), head(activation="identity"), shallow):
+        with pytest.raises(ConfigError, match=r"heads\[2\] differs from heads\[0\]"):
+            SharedBottomNet(4, trunk, [head(), head(), other])
+    assert SharedBottomNet(4, trunk, [head(), head(), head()]).num_tasks == 3
+
+
+def test_load_net_refuses_heads_that_differ(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_net(init_net(4, [3], [2], num_tasks=2, seed=0), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    first, last = payload["heads"][1]
+    for row in first["weights"]:
+        row.append(0.0)
+    first["bias"].append(0.0)
+    last["weights"].append([0.0])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"ckpt\.json: heads\[1\] differs from heads\[0\]"):
+        load_net(path)
+
+
 def test_phi_grad_layout_matches_phi():
     net = small_net(1)
     x, y = batch(5, 8, seed=9)
@@ -482,6 +514,18 @@ def test_layer_tensors_are_views_into_the_flat_buffers():
             assert np.shares_memory(layer.weights, net.phi[t])
             assert np.shares_memory(layer.bias, net.phi[t])
             assert not np.shares_memory(layer.weights, net.phi[1 - t])
+    # Each head layer is also one stacked view over every task's row.
+    assert net.phi.shape == (2, sum(entry.size for entry in net.phi_layouts[0]))
+    for i, stacked in enumerate(net.head_layers):
+        assert stacked.weights.shape == (2, *net.task_heads[0][i].weights.shape)
+        assert stacked.bias.shape == (2, net.task_heads[0][i].fan_out)
+        assert np.shares_memory(stacked.weights, net.phi)
+        assert np.shares_memory(stacked.bias, net.phi)
+        for t in range(2):
+            assert np.array_equal(stacked.weights[t], net.task_heads[t][i].weights)
+            assert np.array_equal(stacked.bias[t], net.task_heads[t][i].bias)
+    net.head_layers[0].weights[1] += 1.0
+    assert np.array_equal(net.head_layers[0].weights[1], net.task_heads[1][0].weights)
     # Each named slot of the buffer holds that layer's tensor, row-major.
     for entry in net.theta_layout:
         _, i, part = entry.name.split(".")

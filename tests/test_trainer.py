@@ -413,27 +413,47 @@ def _two_forward_reference(net, splits, cfg, weights):
     return losses, cosines, evals, transference
 
 
-@pytest.mark.parametrize("kind", STRATEGY_KINDS)
-def test_one_trunk_forward_step_is_bitwise_the_two_forward_step(kind):
+# name: (positive rates, one per task; train rows; loss weights; head widths)
+_BITWISE_CASES = {
+    "three_tasks": ((0.5, 0.3, 0.1), 200, (1.0, 0.5, 2.0), [4]),
+    "one_task": ((0.3,), 200, (1.5,), [4]),
+    "heads_4_3": ((0.5, 0.3, 0.1), 200, (1.0, 0.5, 2.0), [4, 3]),
+    "one_row_last_batch": ((0.5, 0.3, 0.1), 201, (1.0, 0.5, 2.0), [4]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [pytest.param(kind, "three_tasks", id=kind) for kind in STRATEGY_KINDS]
+    + [
+        pytest.param(kind, case, id=f"{case}-{kind}")
+        for case in ("one_task", "heads_4_3", "one_row_last_batch")
+        for kind in STRATEGY_KINDS
+    ],
+)
+def test_one_trunk_forward_step_is_bitwise_the_two_forward_step(kind, case):
     # Phase 2 reuses phase 1's trunk activations: the trunk has not changed in
     # between, so every parameter, loss and cosine must match the form that
-    # runs the whole net forward twice, bit for bit, over several epochs.
-    splits = split(small_dataset(n=260, rates=(0.5, 0.3, 0.1)), (200, 30, 30))
-    weights = (1.0, 0.5, 2.0)
+    # runs the whole net forward twice, bit for bit, over several epochs. The
+    # step runs every task as one stack; the reference calls each task alone.
+    rates, train_rows, weights, head_widths = _BITWISE_CASES[case]
+    num_tasks = len(rates)
+    splits = split(small_dataset(n=train_rows + 60, rates=rates), (train_rows, 30, 30))
+    assert splits.train.n_rows == train_rows
     gammas = (0.05, 0.02, 0.1) if kind == "cograd_exact_hvp" else (10.0, 5.0, 20.0)
     cfg = small_config(
         steps=7,
-        strategy=StrategyConfig(kind=kind, gammas=gammas),
+        strategy=StrategyConfig(kind=kind, gammas=gammas[:num_tasks]),
         loss_weights=weights,
         eval_every=3,
         transference_every=2,
     )
-    trained, log = train(init_net(6, [8, 5], [4], 3, 5), splits, cfg)
-    reference = init_net(6, [8, 5], [4], 3, 5)
+    trained, log = train(init_net(6, [8, 5], head_widths, num_tasks, 5), splits, cfg)
+    reference = init_net(6, [8, 5], head_widths, num_tasks, 5)
     losses, cosines, evals, transference = _two_forward_reference(reference, splits, cfg, weights)
 
     assert np.array_equal(trained.theta, reference.theta)
-    for t in range(3):
+    for t in range(num_tasks):
         assert np.array_equal(trained.phi[t], reference.phi[t])
     assert [r.losses for r in log.steps] == losses
     for record, expected in zip(log.steps, cosines, strict=True):
@@ -443,34 +463,37 @@ def test_one_trunk_forward_step_is_bitwise_the_two_forward_step(kind):
 
 
 def test_step_runs_the_trunk_forward_once_and_backward_once_per_task(monkeypatch):
-    # With no periodic eval, an S-step T-task sum run makes S trunk forward
-    # passes and S*T trunk backward passes; each head runs forward and
-    # backward twice per step (once per phase).
+    # With no periodic eval, an S-step sum run makes S trunk forward passes
+    # and S trunk backward passes, and runs the stacked heads forward and
+    # backward twice per step (once per phase), whatever the task count T:
+    # every task rides the one pass.
     from cograd import model
 
-    net = init_net(6, [8, 5], [4], 3, 0)
-    counts = {"trunk_forward": 0, "trunk_backward": 0, "head_forward": 0, "head_backward": 0}
     stack_forward, stack_backward = model._stack_forward, model._stack_backward
+    steps = 5
+    for num_tasks in (1, 4):
+        net = init_net(6, [8, 5], [4], num_tasks, 0)
+        counts = {"trunk_forward": 0, "trunk_backward": 0, "head_forward": 0, "head_backward": 0}
 
-    def counting(original, direction):
-        def wrapped(layers, *args):
-            part = "trunk" if layers is net.shared_layers else "head"
-            counts[f"{part}_{direction}"] += 1
-            return original(layers, *args)
+        def counting(original, direction, net=net, counts=counts):
+            def wrapped(layers, *args):
+                part = "trunk" if layers is net.shared_layers else "head"
+                counts[f"{part}_{direction}"] += 1
+                return original(layers, *args)
 
-        return wrapped
+            return wrapped
 
-    monkeypatch.setattr(model, "_stack_forward", counting(stack_forward, "forward"))
-    monkeypatch.setattr(model, "_stack_backward", counting(stack_backward, "backward"))
-    steps, num_tasks = 5, 3
-    splits = split(small_dataset(rates=(0.5, 0.3, 0.1)), (4, 1, 1))
-    train(net, splits, small_config(steps=steps, loss_weights=None, eval_every=0))
-    assert counts == {
-        "trunk_forward": steps,
-        "trunk_backward": steps * num_tasks,
-        "head_forward": 2 * steps * num_tasks,
-        "head_backward": 2 * steps * num_tasks,
-    }
+        monkeypatch.setattr(model, "_stack_forward", counting(stack_forward, "forward"))
+        monkeypatch.setattr(model, "_stack_backward", counting(stack_backward, "backward"))
+        rates = (0.5, 0.3, 0.1, 0.2)[:num_tasks]
+        splits = split(small_dataset(rates=rates), (4, 1, 1))
+        train(net, splits, small_config(steps=steps, loss_weights=None, eval_every=0))
+        assert counts == {
+            "trunk_forward": steps,
+            "trunk_backward": steps,
+            "head_forward": 2 * steps,
+            "head_backward": 2 * steps,
+        }, num_tasks
 
 
 def test_overflowing_adam_moment_raises_divergence_without_a_numpy_warning():

@@ -3,17 +3,21 @@
 Row order is the time order: splits are contiguous slices, never shuffled.
 The synthetic generator exposes one knob for task relatedness (the angle
 between the tasks' weight vectors) and one for label sparsity (per-task
-positive rates, hit by bisecting for the logit offset).
+positive rates, hit by bisecting for the logit offset). The CSV reader
+converts each 1,024-line block of plain text with one ``np.loadtxt`` call
+and walks rows in Python only for quoted or non-ASCII text and to name a
+fault; both read the same arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -176,6 +180,8 @@ def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
 
 
 _LABELS = {"0": 0.0, "1": 1.0}  # the only label spellings a CSV may use
+# Printable ASCII but the quote, and the line ends: all a plain block holds.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\r\n"
 
 
 def _raise_feature_fault(
@@ -193,13 +199,60 @@ def _raise_feature_fault(
             raise CsvParseError(f"{path}:{lineno}: non-finite feature in column {c + 1}")
 
 
+def _plain_block(
+    lines: list[str], dtype: np.dtype
+) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """Group ids, features and labels of ``lines``, read by one ``np.loadtxt`` call.
+
+    Only a plain block is read: no quote, no character but printable ASCII
+    and line ends, no line shorter than 3 characters (a blank line is, a
+    valid record is not) and none longer than the csv field limit. There
+    ``loadtxt`` splits fields as ``csv.reader`` does and parses floats as
+    ``float`` does, bar spellings ``float`` alone accepts (``1_5``), which
+    raise. The records are kept only if there is one per line, every feature
+    is finite and every label is exactly "0" or "1"; otherwise None, and the
+    row walk reads the block.
+    """
+    text = "".join(lines)
+    if (
+        not text.isascii()
+        or text.encode("ascii").translate(None, _PLAIN_BYTES)
+        or min(map(len, lines)) < 3
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        records = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except ValueError:
+        return None
+    labels, ones = records["y"], records["y"] == "1"
+    if (
+        len(records) != len(lines)
+        or not np.isfinite(records["x"]).all()
+        or not (ones | (labels == "0")).all()
+    ):
+        return None
+    groups = records["g"].tolist() if "g" in dtype.names else []
+    return groups, records["x"].copy(), ones.astype(np.float64)
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` when read."""
+    raise exc
+    yield  # unreachable; makes this a generator
+
+
 def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> MultiTaskDataset:
     """Parse a header-first CSV laid out as: group id?, features..., labels...
 
     The label columns are the last ``n_tasks`` columns and must be literal
-    0/1. Errors name the offending physical line (header is line 1). Parsed
-    rows go to float64 arrays every 1,024 rows, so no more than one block
-    is ever held as Python lists.
+    0/1. Errors name the offending line (header is line 1; a record whose
+    quoted field spans lines counts as one). The file is read 1,024 lines
+    at a time, so no more than one block is ever held as text: each plain
+    block (see ``_plain_block``) is converted by one ``np.loadtxt`` call,
+    and from the first block that is not, ``csv.reader`` walks the rest row
+    by row, which reads quoted and non-ASCII text and names the first fault.
+    Both give the same arrays, bit for bit.
     """
     if n_tasks < 1:
         raise ConfigError("n_tasks must be at least 1")
@@ -208,12 +261,13 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
         fh = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise CsvParseError(f"{path}: {exc.strerror}") from exc
+    lineno = 0  # the last record read in full
     try:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, expected a header row") from None
+        lineno = 1
         n_cols = len(header)
         n_feat = n_cols - n_tasks - (1 if has_group_column else 0)
         if n_feat < 1:
@@ -223,12 +277,38 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
             )
         first = 1 if has_group_column else 0
         last = first + n_feat  # one past the last feature column
+        dtype = np.dtype(
+            ([("g", object)] if has_group_column else [])
+            + [("x", np.float64, (n_feat,)), ("y", object, (n_tasks,))]
+        )
         groups: list[str] = []
-        feat_rows: list[list[float]] = []
-        label_rows: list[list[float]] = []
         feat_blocks: list[np.ndarray] = []
         label_blocks: list[np.ndarray] = []
-        for lineno, row in enumerate(reader, start=2):
+        lines: list[str] = []
+        rest: Iterable[str] = fh  # what the row walk reads after ``lines``
+        while True:
+            try:
+                for line in fh:
+                    lines.append(line)
+                    if len(lines) == _BLOCK_ROWS:
+                        break
+            except UnicodeDecodeError as exc:
+                rest = _raising(exc)  # raised once the walk has read ``lines``
+                break
+            block = _plain_block(lines, dtype) if lines else None
+            if block is None:
+                break
+            block_groups, block_feats, block_labels = block
+            groups += block_groups
+            feat_blocks.append(block_feats)
+            label_blocks.append(block_labels)
+            lineno += len(lines)
+            full, lines = len(lines) == _BLOCK_ROWS, []
+            if not full:
+                break
+        feat_rows: list[list[float]] = []
+        label_rows: list[list[float]] = []
+        for lineno, row in enumerate(csv.reader(itertools.chain(lines, rest)), start=lineno + 1):
             if len(row) != n_cols:
                 raise CsvParseError(f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}")
             if has_group_column:
@@ -255,6 +335,8 @@ def load_csv(path: str | Path, n_tasks: int, has_group_column: bool = False) -> 
                 feat_blocks.append(np.array(feat_rows))
                 label_blocks.append(np.array(label_rows))
                 feat_rows, label_rows = [], []
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CsvParseError(f"{path}:{lineno + 1}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     finally:

@@ -332,6 +332,8 @@ def train(
 
                 cosines = pairwise_cosine(raw_grads)
                 log.add_step(StepRecord(step=step, losses=tuple(losses.tolist()), cosines=cosines))
+                # Released here, or they would live through the next step's forward pass.
+                del cache, deltas, raw_grads, modified, hvp_fns, aggregate
                 if cfg.eval_every and step % cfg.eval_every == 0:
                     record = evaluate_split(net, splits.val, "validation")
                     log.add_eval(EvalRecord(step=step, metric=record.metric, values=record.values))

@@ -266,6 +266,16 @@ def test_malformed_csv_exits_2_before_the_output_directory_exists(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_a_field_over_the_csv_field_limit_exits_2_naming_its_line(tmp_path, capsys):
+    config, _ = write_csv_config(tmp_path, grouped=True)
+    data = tmp_path / "data.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[5] = "u" * 140_000 + lines[5][lines[5].index(",") :]  # line 6's group id
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["train", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {data}:6: field larger than field limit (131072)\n"
+
+
 def test_output_dir_override(tmp_path):
     config, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"

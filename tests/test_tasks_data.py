@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cograd import (
     ConfigError,
@@ -14,7 +18,11 @@ from cograd import (
     split,
     write_csv,
 )
+from cograd import tasks_data
 from cograd.tasks_data import _task_weights
+
+# A numpy or csv warning from the reader must not reach a user's stderr unseen.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def synth_cfg(**overrides):
@@ -228,6 +236,13 @@ def test_load_csv_ragged_row_names_line(tmp_path):
         ("oops,inf,1\n", False, "2: non-numeric feature 'oops' in column 1"),
         ("1.0,2.0,yes\n", False, "2: label must be 0 or 1, got 'yes' in column 3"),
         ("1.0,2.0, 1\n", False, "2: label must be 0 or 1, got ' 1' in column 3"),
+        # A field over csv.field_size_limit() (131,072 characters).
+        pytest.param(
+            f"u1,1.0,2.0,1\n{'u' * 140_000},1.0,2.0,1\n",
+            True,
+            "3: field larger than field limit (131072)",
+            id="field-over-the-csv-limit",
+        ),
     ],
 )
 def test_load_csv_error_names_first_fault(tmp_path, body, has_group, message):
@@ -250,6 +265,150 @@ def test_csv_round_trip_bitwise(tmp_path):
     path2 = tmp_path / "round2.csv"
     write_csv(back, path2)
     assert path2.read_bytes() == path.read_bytes()
+
+
+def test_load_csv_names_a_fault_before_a_later_byte_that_is_not_utf8(tmp_path):
+    # The bad byte lies in a later read chunk of the same 1,024-line block:
+    # the line read before it is still the one named, as row by row.
+    lines = ["f0,f1,label0"] + [f"{i}.5,2.0,1" for i in range(1500)]
+    lines[3] = "1.5,2.0,7"
+    data = ("\n".join(lines) + "\n").encode()
+    cut = len("\n".join(lines[:900]).encode())
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path, n_tasks=1)
+    assert str(exc.value) == f"{path}:4: label must be 0 or 1, got '7' in column 3"
+    lines[3] = "1.5,2.0,1"
+    path.write_bytes(("\n".join(lines) + "\n").encode()[:cut] + b"\xff")
+    with pytest.raises(CsvParseError, match="not UTF-8 text"):
+        load_csv(path, n_tasks=1)
+
+
+def test_plain_blocks_take_one_loadtxt_call_each_and_no_row_walk(tmp_path):
+    ds = generate_synthetic(synth_cfg(n_samples=2500))
+    ds = MultiTaskDataset(ds.features, ds.labels, np.array([f"u{i % 7}" for i in range(2500)]))
+    path = tmp_path / "plain.csv"
+    write_csv(ds, path)
+    loadtxt, reader = np.loadtxt, tasks_data.csv.reader
+    calls, rows = [], []
+
+    def counting_loadtxt(lines, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, **kwargs)
+
+    def counting_reader(lines):
+        for row in reader(lines):
+            rows.append(row)
+            yield row
+
+    with mock.patch.object(np, "loadtxt", counting_loadtxt), mock.patch.object(
+        tasks_data.csv, "reader", counting_reader
+    ):
+        load_csv(path, n_tasks=2, has_group_column=True)
+    assert calls == [1024, 1024, 452]
+    assert len(rows) == 1  # the header; the row walk read nothing
+
+
+# Mutations of one row: text put in the last feature cell, the last label
+# cell or the first cell (the group id, if any), or a change of the line.
+_FEATURE_TEXTS = (
+    '"1,5"', '"1.5\n"', "1_5", "\u00a01.5", "\u0661", "1.5\x1c", "\x00", "\t2", " 2 ",
+    "nan", "inf", "-Infinity", "1e400", "-0.0", "5e-324", "2.5e-310", "", "0x10", "9" * 140_000,
+)
+_LABEL_TEXTS = (" 1", "1.0", "01", "1 ", "", '"1"', "2")
+_FIRST_TEXTS = ('"u,1"', '"u\n1"', '"u""1"', "\u00e9", " u ", "", "u" * 140_000)
+_LINE_MUTATIONS = ("blank", "spaces", "drop_field", "extra_field", "trailing_cr")
+_MUTATIONS = (
+    [("feature", t) for t in _FEATURE_TEXTS]
+    + [("label", t) for t in _LABEL_TEXTS]
+    + [("first", t) for t in _FIRST_TEXTS]
+    + [("line", m) for m in _LINE_MUTATIONS]
+)
+
+
+def _csv_text(n_rows, n_feat, n_tasks, grouped, seed, mutations, end="\n", final_end=True):
+    """A CSV of random rows with each ``((kind, text), row)`` mutation applied."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n_rows, n_feat)) * 10.0 ** rng.integers(-310, 300, (n_rows, n_feat))
+    rows = [
+        ([f"u{rng.integers(50)}"] if grouped else [])
+        + [repr(float(v)) for v in feats[r]]
+        + [str(v) for v in rng.integers(0, 2, n_tasks)]
+        for r in range(n_rows)
+    ]
+    lines = [",".join(row) for row in rows]
+    for (kind, text), r in mutations:
+        cells = rows[r]
+        if kind == "line":
+            lines[r] = {
+                "blank": "",
+                "spaces": "   ",
+                "drop_field": ",".join(cells[:-1]),
+                "extra_field": ",".join(cells + ["0"]),
+                "trailing_cr": ",".join(cells) + "\r",
+            }[text]
+            continue
+        cells[{"feature": int(grouped) + n_feat - 1, "label": -1, "first": 0}[kind]] = text
+        lines[r] = ",".join(cells)
+    header = (["group_id"] if grouped else []) + [f"f{j}" for j in range(n_feat)]
+    header += [f"label{t}" for t in range(n_tasks)]
+    return end.join([",".join(header)] + lines) + (end if final_end else "")
+
+
+def _outcome(path, n_tasks, grouped):
+    try:
+        ds = load_csv(path, n_tasks, grouped)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    groups = None if ds.group_ids is None else (ds.group_ids.dtype, ds.group_ids.tolist())
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), groups
+
+
+def _assert_read_as_the_row_walk_reads(path, text, n_tasks, grouped):
+    """The same arrays bit for bit, or the same error and message, as with
+    every block refused, so that the row walk alone reads the file."""
+    path.write_bytes(text.encode("utf-8"))
+    fast = _outcome(path, n_tasks, grouped)
+    with mock.patch.object(tasks_data, "_plain_block", lambda lines, dtype: None):
+        walked = _outcome(path, n_tasks, grouped)
+    assert fast == walked
+
+
+@pytest.mark.parametrize(
+    "mutation", _MUTATIONS, ids=[f"{kind}-{ascii(text[:8])}" for kind, text in _MUTATIONS]
+)
+def test_load_csv_reads_each_mutation_as_the_row_walk(tmp_path, mutation):
+    # Row 1,025 is the only line of the second block (a blank one included),
+    # after a first block that is plain.
+    text = _csv_text(1025, 2, 2, True, seed=0, mutations=[(mutation, 1024)])
+    _assert_read_as_the_row_walk_reads(tmp_path / "data.csv", text, 2, True)
+
+
+@st.composite
+def csv_cases(draw):
+    n_rows = draw(st.sampled_from([1, 1023, 1024, 1025, 2049]))
+    mutations = draw(
+        st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, n_rows - 1)), max_size=3)
+    )
+    n_tasks, grouped = draw(st.integers(1, 2)), draw(st.booleans())
+    text = _csv_text(
+        n_rows,
+        draw(st.integers(1, 3)),
+        n_tasks,
+        grouped,
+        draw(st.integers(0, 2**32 - 1)),
+        mutations,
+        end=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+        final_end=draw(st.booleans()),
+    )
+    return text, n_tasks, grouped
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=csv_cases())
+def test_load_csv_matches_the_row_walk(tmp_path_factory, case):
+    _assert_read_as_the_row_walk_reads(tmp_path_factory.mktemp("walk") / "data.csv", *case)
 
 
 def test_split_exact_division():

@@ -544,3 +544,33 @@ def test_exact_hvp_with_a_huge_gamma_raises_divergence_naming_the_step():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match="diverged at step 1"):
             train(small_net(), splits, cfg)
+
+
+@pytest.mark.parametrize("kind", ["cograd", "cograd_exact_hvp"])
+def test_a_step_holds_no_state_of_the_step_before(kind):
+    # The wide regime (trunk [128, 64], batch 512): a step's cache, gradients
+    # and products are released at its end, so a run's traced peak does not
+    # grow past the first step's by the size of one step's trunk gradients.
+    import tracemalloc
+
+    data = generate_synthetic(
+        SyntheticTaskConfig(
+            n_samples=3000, n_features=128, task_angle_deg=45.0, positive_rates=(0.5, 0.1)
+        )
+    )
+    splits = split(data, (4, 1, 1))
+    strategy = StrategyConfig(kind=kind, gammas=(0.1, 0.1))
+
+    def train_peak(steps):
+        net = init_net(128, [128, 64], [4], 2, 0)
+        cfg = small_config(steps=steps, batch_size=512, learning_rate=0.01, strategy=strategy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(net, splits, cfg)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    one_step_grads = 2 * init_net(128, [128, 64], [4], 2, 0).theta.nbytes
+    assert train_peak(3) - train_peak(1) < one_step_grads

@@ -28,6 +28,7 @@ from .errors import ConfigError, DivergenceError, InputError
 from .gradmod import StrategyConfig, approx_hvp, measure_transference, pairwise_cosine
 from .model import (
     SharedBottomNet,
+    _bce,
     backward_task,
     forward,
     init_net,
@@ -35,7 +36,6 @@ from .model import (
     read_json,
     save_net,
     task_hvp,
-    theta_loss_fn,
 )
 from .tasks_data import (
     DatasetSplits,
@@ -269,10 +269,29 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
     return DataConfig(None, path, has_group, n_tasks, proportions)
 
 
+def _check_sizes(cfg: ExperimentConfig, n_features: int) -> None:
+    """Refuse, naming its field, a float64 array that numpy cannot address (one
+    over ``np.iinfo(np.intp).max`` bytes): the synthetic features, the trunk or
+    heads parameter buffer, and so any layer's weights, or the probe's bin edges."""
+    synthetic, limit = cfg.data.synthetic, np.iinfo(np.intp).max
+    trunk = [n_features, *cfg.model.shared_widths]
+    head = [trunk[-1], *cfg.model.head_widths, 1]
+    sizes = {
+        "data.synthetic.n_samples": synthetic.n_samples * n_features if synthetic else 0,
+        "model.shared_widths": sum((a + 1) * b for a, b in zip(trunk, trunk[1:])),
+        "model.head_widths": cfg.data.n_tasks * sum((a + 1) * b for a, b in zip(head, head[1:])),
+        "probe.n_bins": cfg.probe.n_bins + 1,
+    }
+    for name, size in sizes.items():
+        if 8 * size > limit:
+            raise ConfigError(f"{name}: {size} float64 values exceed numpy's {limit} bytes")
+
+
 def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     """Validate a parsed config dict; errors name the offending field path.
 
-    A CSV data section is parsed last, once every other field is valid.
+    A CSV data section is parsed last, once every other field is valid; array
+    sizes are checked once the input width is known.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -320,8 +339,10 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         probe=_section(raw.get("probe", {}), "probe", ProbeConfig, _PROBE_FIELDS),
     )
     if data.csv_path is None:
+        _check_sizes(cfg, data.synthetic.n_features)
         return cfg
     dataset = load_csv(data.csv_path, data.n_tasks, data.csv_has_group)
+    _check_sizes(cfg, dataset.n_features)
     return dataclasses.replace(cfg, data=dataclasses.replace(data, dataset=dataset))
 
 
@@ -529,18 +550,18 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     gammas = strategy.probe_gammas(n_tasks)
     halves = [g / 2.0 for g in gammas]
     probe_batch = splits.train.take(slice(0, train_cfg.batch_size))
-    x, y = probe_batch.features, probe_batch.labels
+    x, y = probe_batch.features, probe_batch.labels.T.copy()  # (T, n): row t is task t's
 
     rows = []
     for step in sorted(snapshots):
-        snap = snapshots[step]
-        _, cache = forward(snap, x)
-        grads = [backward_task(snap, cache, y[:, t], t)[0].values for t in range(n_tasks)]
-        hvp_fns = [task_hvp(snap, cache, y[:, t], t) for t in range(n_tasks)]
-        loss_fns = [theta_loss_fn(snap, x, y[:, t], t) for t in range(n_tasks)]
+        snap = snapshots[step]  # a private copy, so the lookahead may write into its trunk
+        logits, cache = forward(snap, x)
+        losses = _bce(logits.T, y)
+        grads = [backward_task(snap, cache, y[t], t)[0].values for t in range(n_tasks)]
+        hvp_fns = [task_hvp(snap, cache, y[t], t) for t in range(n_tasks)]
         for full, half in zip(
-            measure_transference(step, snap.theta, grads, loss_fns, gammas),
-            measure_transference(step, snap.theta, grads, loss_fns, halves),
+            measure_transference(step, snap, x, y, losses, grads, gammas),
+            measure_transference(step, snap, x, y, losses, grads, halves),
         ):
             i, j = full.source_task, full.target_task
             exact = hvp_fns[j](grads[i])

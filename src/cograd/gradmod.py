@@ -2,7 +2,8 @@
 
 Quantifies inter-task transference (how one task's virtual update moves
 another task's loss) and implements gradient modifications over the shared
-parameters:
+parameters. ``transfer_exact`` is the definition; ``measure_transference``
+takes every ordered pair of a step on the live net, in T forward passes.
 
 - ``cograd_modify``: descend each task's loss while pushing transference up,
   using the squared-gradient curvature surrogate H_i v ~ lam * g_i (.) g_i (.) v.
@@ -36,6 +37,7 @@ from .errors import (
     DimensionError,
     EvaluationError,
 )
+from .model import SharedBottomNet, _bce, forward
 from .tensor_core import finite_diff_hvp
 
 STRATEGY_KINDS = ("sum", "cograd", "cograd_exact_hvp", "pcgrad", "magnitude_balance")
@@ -149,29 +151,32 @@ def transfer_first_order(g_i, g_j, gamma_i: float) -> float:
 
 
 def measure_transference(
-    step: int,
-    theta,
-    grads: Sequence,
-    loss_fns: Sequence[Callable[[np.ndarray], float]],
-    gammas: Sequence[float],
+    step: int, net: SharedBottomNet, features: np.ndarray, labels: np.ndarray,
+    losses: np.ndarray, grads, gammas: Sequence[float],
 ) -> list[TransferenceRecord]:
-    """Exact and first-order transference for every ordered task pair."""
-    records = []
-    for i in range(len(grads)):
-        for j in range(len(grads)):
-            if i == j:
-                continue
-            records.append(
-                TransferenceRecord(
-                    step=step,
-                    source_task=i,
-                    target_task=j,
-                    exact_delta=transfer_exact(loss_fns[j], theta, grads[i], gammas[i]),
-                    first_order=transfer_first_order(grads[i], grads[j], gammas[i]),
-                    gamma_used=float(gammas[i]),
-                )
-            )
-    return records
+    """Exact and first-order transference for every ordered task pair (i, j), in order.
+
+    ``losses`` and ``grads`` are the T losses and (T, P) trunk gradients of
+    ``features`` on the C-contiguous (T, n) ``labels`` at ``net.theta``. One
+    forward pass of every head at ``theta - gammas[i] * grads[i]``, written into
+    ``net.theta`` and restored even if it raises, gives source task i's
+    lookahead losses: bitwise ``transfer_exact`` of each one-head loss.
+    """
+    G = _matrix(grads)
+    theta, after = net.theta.copy(), np.empty((len(G), len(G)))
+    try:
+        for i in range(len(G)):
+            net.theta[...] = theta - gammas[i] * G[i]
+            after[i] = _bce(forward(net, features)[0].T, labels)
+    finally:
+        net.theta[...] = theta
+    if not np.isfinite(after).all():
+        raise EvaluationError("non-finite loss during lookahead evaluation")
+    return [
+        TransferenceRecord(step, i, j, float(losses[j] - after[i, j]),
+                           transfer_first_order(G[i], G[j], gammas[i]), float(gammas[i]))
+        for i in range(len(G)) for j in range(len(G)) if i != j
+    ]
 
 
 def approx_hvp(g_owner, direction, lam: float = 1.0) -> np.ndarray:

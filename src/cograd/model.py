@@ -13,8 +13,8 @@ are views into them, each head layer also stacked over a leading task axis.
 Forward, backward and the trunk's Hessian-vector products run each layer
 once for all T tasks, one (T, ...) array per layer; a stacked matmul makes
 the same BLAS call per task as a single product, so each task's numbers are
-bitwise those of its own pass. ``backward_task`` and ``task_hvp`` run the
-same code on a one-task stack.
+bitwise those of its own pass. ``backward_task`` and ``task_hvp`` return
+one task's row of the T-task pass, at T times a one-task pass's cost.
 
 All tensors are float64. Forward and backward are pure given (net, batch).
 ``predict_proba`` and ``trunk_activations`` walk a whole dataset in blocks
@@ -230,12 +230,6 @@ class ForwardCache:
     heads_mask: list[np.ndarray | None]
     heads_act: list[np.ndarray]  # each head layer's output
 
-    @property
-    def head_pre(self) -> list[list[np.ndarray]]:
-        """Per-task views of ``heads_pre``: ``head_pre[t][i]`` is task t's at head layer i."""
-        tasks = len(self.heads_pre[0]) if self.heads_pre else 0
-        return [[pre[t] for pre in self.heads_pre] for t in range(tasks)]
-
 
 def init_net(
     input_dim: int,
@@ -416,24 +410,22 @@ def backward_task(
 ) -> tuple[ParamVector, ParamVector]:
     """Analytic gradients of one task's mean BCE loss.
 
-    Returns (grad over shared trunk, grad over that task's head), each
-    written straight into a flat vector in the net's ``theta_layout`` /
-    ``phi_layouts[task_id]``. Gradients of the other heads are identically
-    zero and are not materialized.
+    Returns (grad over shared trunk, grad over that task's head) in the net's
+    ``theta_layout`` / ``phi_layouts[task_id]``: row ``task_id`` of the T-task pass.
     """
     y = _checked_labels(net, cache, labels, task_id)
-    grad_theta, grad_phi = np.empty((1, net.theta.size)), np.empty((1, net.phi.shape[1]))
-    _backward(net, cache, y[None], slice(task_id, task_id + 1), grad_phi, grad_theta)
+    grad_theta, grad_phi = np.empty((net.num_tasks, net.theta.size)), np.empty(net.phi.shape)
+    _backward(net, cache, y, grad_phi, grad_theta)
     return (
-        ParamVector(grad_theta[0], net.theta_layout),
-        ParamVector(grad_phi[0], net.phi_layouts[task_id]),
+        ParamVector(grad_theta[task_id], net.theta_layout),
+        ParamVector(grad_phi[task_id], net.phi_layouts[task_id]),
     )
 
 
 def _checked_labels(
     net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int
 ) -> np.ndarray:
-    """``labels`` as a 1-D float64 vector, once ``task`` and ``cache`` fit the net and batch."""
+    """``labels`` in every row of a float64 (T, n) array, once ``task`` and ``cache`` fit."""
     if not 0 <= task < net.num_tasks:
         raise DimensionError(f"task_id {task} out of range")
     layers = len(cache.trunk_pre), len(cache.heads_pre)
@@ -445,37 +437,26 @@ def _checked_labels(
         raise DimensionError(f"{y.size} labels for batch of {n}")
     if cache.heads_pre[-1].shape[:2] != (net.num_tasks, n):
         raise DimensionError("stale cache: task count or batch size mismatch")
-    return y
-
-
-def _heads(net: SharedBottomNet, cache: ForwardCache, tasks: slice | None) -> list[list]:
-    """Head layers and the cache's head pre-activations, masks and activations:
-    every task's, or those of the one-task stack that ``tasks`` selects."""
-    parts = [net.head_layers, cache.heads_pre, cache.heads_mask, cache.heads_act]
-    if tasks is None:
-        return parts
-    layers = [StackedLayer(lay.weights[tasks], lay.bias[tasks], lay.activation) for lay in parts[0]]
-    return [layers] + [[None if a is None else a[tasks] for a in part] for part in parts[1:]]
+    return np.broadcast_to(y, (net.num_tasks, n))
 
 
 def _backward(
-    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, tasks: slice | None = None,
+    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray,
     grad_phi: np.ndarray | None = None, grad_theta: np.ndarray | None = None,
     deltas: list | None = None,
 ) -> None:
-    """Backpropagate the mean BCE of k stacked tasks on their (k, n) ``labels``.
+    """Backpropagate the mean BCE of every task on the (T, n) ``labels``.
 
-    The tasks are all T, or the one-task stack that the slice ``tasks``
-    selects. Writes row r of ``grad_phi`` (k, P_h) and ``grad_theta`` (k, P)
-    for the r-th task, and ``deltas[i]``, the (k, n, width) gradient at trunk
-    pre-activation i, each only if given: with neither ``grad_theta`` nor
-    ``deltas`` the trunk is skipped.
+    Writes row t of ``grad_phi`` (T, P_h) and ``grad_theta`` (T, P) for task
+    t, and ``deltas[i]``, the (T, n, width) gradient at trunk pre-activation
+    i, each only if given: with neither ``grad_theta`` nor ``deltas`` the
+    trunk is skipped.
     """
-    layers, pres, masks, acts = _heads(net, cache, tasks)
+    layers = net.head_layers
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (sigmoid(pres[-1]) - labels[..., None]) / labels.shape[-1]
-    inputs = [cache.trunk_act[-1], *acts]
-    delta = _stack_backward(layers, masks, inputs, delta, net._phi_slots, grad_phi)
+    delta = (sigmoid(cache.heads_pre[-1]) - labels[..., None]) / labels.shape[-1]
+    inputs = [cache.trunk_act[-1], *cache.heads_act]
+    delta = _stack_backward(layers, cache.heads_mask, inputs, delta, net._phi_slots, grad_phi)
     if (grad_theta is not None or deltas is not None) and net.shared_layers:
         _stack_backward(  # head input gradient = trunk output gradient
             net.shared_layers, cache.trunk_mask, cache.trunk_act,
@@ -498,32 +479,30 @@ def task_hvp(
     current trunk weights, so it holds until they change.
     """
     y = _checked_labels(net, cache, labels, task)
-    tasks = slice(task, task + 1)
     deltas: list = [None] * len(net.shared_layers)
-    _backward(net, cache, y[None], tasks, deltas=deltas)
-    stacked = _trunk_hvp(net, cache, deltas, tasks)
+    _backward(net, cache, y, deltas=deltas)
+    stacked = _trunk_hvp(net, cache, deltas)
 
     def hvp(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64).ravel()
         if v.size != net.theta.size:
             raise DimensionError(f"direction has {v.size} entries, the trunk {net.theta.size}")
-        return stacked(v[None])[0]
+        return stacked(np.broadcast_to(v, (net.num_tasks, v.size)))[task]
 
     return hvp
 
 
 def _trunk_hvp(
-    net: SharedBottomNet, cache: ForwardCache, deltas: list, tasks: slice | None = None
+    net: SharedBottomNet, cache: ForwardCache, deltas: list
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``task_hvp`` of k stacked tasks at once: ``V -> HV`` for (k, P) arrays,
-    row r of HV being the r-th task's H times ``V[r]``.
+    """``task_hvp`` of every task at once: ``V -> HV`` for (T, P) arrays, row
+    t of HV being task t's H times ``V[t]``.
 
-    The tasks are all T, or the one-task stack that the slice ``tasks``
-    selects; ``deltas`` holds their (k, n, width) loss gradients at each trunk
+    ``deltas`` holds the tasks' (T, n, width) loss gradients at each trunk
     pre-activation.
     """
     trunk, slots = net.shared_layers, net._theta_slots
-    layers, pres, masks, _ = _heads(net, cache, tasks)
+    layers, pres, masks = net.head_layers, cache.heads_pre, cache.heads_mask
     k, n = pres[-1].shape[:2]
     # Each row's logit gradient at the trunk output. The head is fixed and its
     # relu pattern too, so a tangent crosses it along this row, and so does

@@ -56,7 +56,6 @@ from .model import (
     predict_proba,
     sigmoid,
     task_loss,
-    theta_loss_fn,
     trunk_activations,
 )
 from .tasks_data import DatasetSplits, MultiTaskDataset, batches, write_table
@@ -305,15 +304,9 @@ def train(
                 _backward(net, cache, y, grad_theta=raw_grads, deltas=deltas)
 
                 if cfg.transference_every and step % cfg.transference_every == 0:
-                    loss_fns = [theta_loss_fn(net, x, y[t], t) for t in range(num_tasks)]
+                    gammas = cfg.strategy.probe_gammas(num_tasks)
                     log.transference.extend(
-                        measure_transference(
-                            step,
-                            net.theta,
-                            raw_grads,
-                            loss_fns,
-                            cfg.strategy.probe_gammas(num_tasks),
-                        )
+                        measure_transference(step, net, x, y, losses, raw_grads, gammas)
                     )
 
                 hvp_fns = None

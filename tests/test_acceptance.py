@@ -66,8 +66,8 @@ def kink_free_batch(net, n, seed, margin=0.02):
         x = rng.standard_normal((8 * n, net.input_dim))
         _, cache = forward(net, x)
         pres = list(cache.trunk_pre)
-        for head_pres in cache.head_pre:
-            pres.extend(head_pres[:-1])
+        for t in range(net.num_tasks):
+            pres.extend(pre[t] for pre in cache.heads_pre[:-1])
         clear = np.ones(x.shape[0], dtype=bool)
         for z in pres:
             clear &= np.min(np.abs(z), axis=1) > margin

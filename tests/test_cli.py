@@ -444,6 +444,48 @@ def test_probe_out_of_range_value_exits_2(tmp_path, capsys):
     assert "probe.n_bins must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_bins", [2**62, 2**63], ids=["array_too_big", "index_error"])
+def test_probe_bins_numpy_cannot_address_exit_2_naming_them(tmp_path, capsys, n_bins):
+    ckpt, _, config = probe_fixtures(tmp_path)
+    raw = json.loads(config.read_text())
+    raw["probe"] = {"n_bins": n_bins}
+    config.write_text(json.dumps(raw))
+    assert main(["probe", str(ckpt), str(config)]) == 2
+    assert f"probe.n_bins: {n_bins + 1} float64 values exceed numpy's" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("model", "shared_widths", [2**63], "model.shared_widths: "),
+        ("synthetic", "n_samples", 2**63, "data.synthetic.n_samples: "),
+        ("model", "shared_widths", [2**61], "model.shared_widths: "),
+        ("model", "head_widths", [2**62], "model.head_widths: "),
+    ],
+    ids=["dimension_exceeded", "rows_dimension_exceeded", "array_too_big", "heads_too_big"],
+)
+def test_sizes_numpy_cannot_address_exit_2_naming_them(
+    tmp_path, capsys, section, key, value, named
+):
+    # numpy refuses these shapes with ValueError; the config is refused first.
+    config, raw = write_config(tmp_path)
+    (raw["data"]["synthetic"] if section == "synthetic" else raw[section])[key] = value
+    config.write_text(json.dumps(raw))
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "float64 values exceed numpy's 9223372036854775807 bytes" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_trunk_numpy_cannot_address_exits_2_naming_it(tmp_path, capsys):
+    # A CSV's feature count is known once it is parsed; the trunk is checked then.
+    config, raw = write_csv_config(tmp_path)
+    raw["model"]["shared_widths"] = [2**61]
+    config.write_text(json.dumps(raw))
+    assert main(["train", str(config)]) == 2
+    assert "model.shared_widths: 16140901064495857664 float64 values" in capsys.readouterr().err
+
+
 def test_probe_bad_csv_exits_2(tmp_path, capsys):
     ckpt, csv_path, _ = probe_fixtures(tmp_path)
     bad = tmp_path / "bad.csv"

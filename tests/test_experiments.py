@@ -475,7 +475,8 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
         probe = net.copy()
         probe.set_theta(theta)
         cache = forward(probe, x)[1]
-        return [z > 0.0 for z in [*cache.trunk_pre, *(p for h in cache.head_pre for p in h[:-1])]]
+        heads = (pre[t] for t in range(probe.num_tasks) for pre in cache.heads_pre[:-1])
+        return [z > 0.0 for z in [*cache.trunk_pre, *heads]]
 
     def central_difference_hvp(net, cache, labels, task):
         grad_fn = theta_grad_fn(net, cache.features, labels, task)

@@ -8,6 +8,7 @@ from cograd import (
     ConfigError,
     DegenerateGradientError,
     DimensionError,
+    EvaluationError,
     StrategyConfig,
     TransferenceRecord,
     approx_hvp,
@@ -28,6 +29,7 @@ from cograd import (
     transfer_exact,
     transfer_first_order,
 )
+from cograd.model import _bce, theta_loss_fn
 
 
 def quad_loss(v):
@@ -477,13 +479,103 @@ def test_transference_record_requires_positive_gamma():
 
 
 def test_measure_transference_covers_ordered_pairs():
-    theta = np.array([1.0, 1.0])
-    grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    loss_fns = [quad_loss, quad_loss]
-    records = measure_transference(3, theta, grads, loss_fns, [0.1, 0.1])
+    net = init_net(4, [3], [2], num_tasks=2, seed=0)
+    x = np.random.default_rng(0).standard_normal((5, 4))
+    y = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
+    logits, cache = forward(net, x)
+    losses = _bce(logits.T, y)
+    grads = np.array([backward_task(net, cache, y[t], t)[0].values for t in range(2)])
+    records = measure_transference(3, net, x, y, losses, grads, [0.1, 0.1])
     assert [(r.source_task, r.target_task) for r in records] == [(0, 1), (1, 0)]
     assert all(r.step == 3 for r in records)
-    assert records[0].exact_delta == pytest.approx(0.095, abs=1e-12)
+
+
+def _live_net(shared_widths, head_widths, num_tasks, seed):
+    """A net whose relu biases are drawn positive, so that its units are live."""
+    net = init_net(6, list(shared_widths), list(head_widths), num_tasks, seed)
+    rng = np.random.default_rng(seed)
+    for layer in [*net.shared_layers, *net.head_layers]:
+        if layer.activation == "relu":
+            layer.bias[...] = rng.uniform(0.05, 0.5, size=layer.bias.shape)
+    return net
+
+
+def _live_batch(net, n, seed):
+    """``n`` rows, their C-contiguous (T, n) labels, the T losses and (T, P) gradients."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, net.input_dim))
+    y = (rng.uniform(size=(net.num_tasks, n)) < 0.5).astype(np.float64)
+    logits, cache = forward(net, x)
+    grads = np.array([backward_task(net, cache, y[t], t)[0].values for t in range(net.num_tasks)])
+    return x, y, _bce(logits.T, y), grads
+
+
+@pytest.mark.parametrize("num_tasks", [2, 3, 4])
+@pytest.mark.parametrize("shared_widths", [[8], [16, 8], [8, 5, 4]])
+@pytest.mark.parametrize("head_widths", [[4], [4, 3]])
+@pytest.mark.parametrize("n", [1, 257])
+def test_live_lookahead_is_the_one_head_definition_bitwise(
+    num_tasks, shared_widths, head_widths, n
+):
+    # One forward of every head on the live net, per source task, gives each
+    # record transfer_exact of the target's one-head loss function, bit for bit.
+    net = _live_net(shared_widths, head_widths, num_tasks, seed=n + num_tasks)
+    x, y, losses, grads = _live_batch(net, n, seed=len(shared_widths))
+    gammas = np.random.default_rng(3).uniform(0.05, 2.0, size=num_tasks).tolist()
+    theta = net.theta.copy()
+    records = measure_transference(5, net, x, y, losses, grads, gammas)
+    assert np.array_equal(net.theta, theta)
+    expected = [
+        (5, i, j, transfer_exact(theta_loss_fn(net, x, y[j], j), theta, grads[i], gammas[i]),
+         transfer_first_order(grads[i], grads[j], gammas[i]), gammas[i])
+        for i in range(num_tasks)
+        for j in range(num_tasks)
+        if i != j
+    ]
+    assert [dataclasses.astuple(r) for r in records] == expected
+
+
+def test_live_lookahead_restores_theta_when_a_forward_raises(monkeypatch):
+    from cograd import gradmod
+
+    net = _live_net([8, 5], [4], 3, seed=0)
+    x, y, losses, grads = _live_batch(net, 9, seed=0)
+    theta, calls = net.theta.copy(), []
+    real_forward = gradmod.forward
+
+    def forward_failing_second(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise EvaluationError("forward produced non-finite logits")
+        return real_forward(*args)
+
+    monkeypatch.setattr(gradmod, "forward", forward_failing_second)
+    with pytest.raises(EvaluationError):
+        measure_transference(1, net, x, y, losses, grads, [0.1, 0.2, 0.3])
+    assert len(calls) == 2
+    assert np.array_equal(net.theta, theta)
+    for layer in net.shared_layers:
+        assert np.shares_memory(net.theta, layer.weights)
+        assert np.shares_memory(net.theta, layer.bias)
+
+
+def test_live_lookahead_refuses_a_loss_that_overflows(monkeypatch):
+    # Finite logits of 1e308 on label 0 overflow the mean BCE to inf.
+    from cograd import gradmod
+
+    net = _live_net([8], [4], 2, seed=0)
+    x, _, losses, grads = _live_batch(net, 5, seed=0)
+    huge = np.full((5, 2), 1e308)
+    monkeypatch.setattr(gradmod, "forward", lambda net, features: (huge, None))
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="non-finite loss during lookahead evaluation"):
+            measure_transference(1, net, x, np.zeros((2, 5)), losses, grads, [0.1, 0.1])
+
+
+def test_live_lookahead_of_one_task_has_no_records():
+    net = _live_net([8], [4], 1, seed=0)
+    x, y, losses, grads = _live_batch(net, 7, seed=0)
+    assert measure_transference(2, net, x, y, losses, grads, [0.1]) == []
 
 
 def _strategy_call(kind, num_tasks, size):

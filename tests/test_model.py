@@ -49,8 +49,8 @@ def kink_free_batch(net, n, seed, margin=0.02):
         x = rng.standard_normal((8 * n, net.input_dim))
         _, cache = forward(net, x)
         hidden_pres = list(cache.trunk_pre)
-        for head_pres in cache.head_pre:
-            hidden_pres.extend(head_pres[:-1])  # output layer is identity
+        for t in range(net.num_tasks):
+            hidden_pres.extend(pre[t] for pre in cache.heads_pre[:-1])  # output layer is identity
         clear = np.ones(x.shape[0], dtype=bool)
         for z in hidden_pres:
             clear &= np.min(np.abs(z), axis=1) > margin
@@ -185,7 +185,7 @@ def deep_net(seed, shared_widths=(8, 6, 4), head_widths=(4, 3), num_tasks=2):
         layer.bias[...] -= np.median(forward(net, x)[1].trunk_pre[i], axis=0)
     for t, head in enumerate(net.task_heads):
         for i, layer in enumerate(head[:-1]):
-            layer.bias[...] -= np.median(forward(net, x)[1].head_pre[t][i], axis=0)
+            layer.bias[...] -= np.median(forward(net, x)[1].heads_pre[i][t], axis=0)
     return net
 
 

@@ -364,10 +364,20 @@ def _two_forward_reference(net, splits, cfg, weights):
 
     Phase 1 updates each head from ``backward_task``; phase 2 runs the whole
     net forward again, and exact-HVP products come from ``task_hvp`` on that
-    second forward's cache. Returns per-step losses and cosines, eval values
-    and transference records.
+    second forward's cache. Transference records follow the paper's
+    definition, ``transfer_exact`` of each target task's one-head loss
+    function. Returns per-step losses and cosines, eval values and
+    transference records.
     """
-    from cograd import batches, measure_transference, modify_gradients, pairwise_cosine, task_hvp
+    from cograd import (
+        TransferenceRecord,
+        batches,
+        modify_gradients,
+        pairwise_cosine,
+        task_hvp,
+        transfer_exact,
+        transfer_first_order,
+    )
     from cograd.model import theta_loss_fn
     from cograd.trainer import evaluate_split
 
@@ -390,9 +400,20 @@ def _two_forward_reference(net, splits, cfg, weights):
             grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(num_tasks)]
             losses.append(tuple(task_loss(logits[:, t], y[:, t]) for t in range(num_tasks)))
             if step % cfg.transference_every == 0:
-                loss_fns = [theta_loss_fn(net, x, y[:, t], t) for t in range(num_tasks)]
                 gammas = cfg.strategy.probe_gammas(num_tasks)
-                transference.extend(measure_transference(step, net.theta, grads, loss_fns, gammas))
+                transference.extend(
+                    TransferenceRecord(
+                        step,
+                        i,
+                        j,
+                        transfer_exact(theta_loss_fn(net, x, y[:, j], j), net.theta, grads[i], g),
+                        transfer_first_order(grads[i], grads[j], g),
+                        g,
+                    )
+                    for i, g in enumerate(gammas)
+                    for j in range(num_tasks)
+                    if j != i
+                )
             modified = modify_gradients(
                 grads,
                 cfg.strategy,
@@ -460,6 +481,28 @@ def test_one_trunk_forward_step_is_bitwise_the_two_forward_step(kind, case):
         assert np.array_equal(record.cosines, expected)
     assert [r.values for r in log.evals] == evals
     assert log.transference == transference
+
+
+def test_a_step_that_records_transference_builds_no_net(monkeypatch):
+    # The lookahead runs on the live net: T forward passes per recorded step
+    # and no one-head probe net per task.
+    from cograd import model
+
+    built = []
+    real_init = model.SharedBottomNet.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    net = init_net(6, [8, 5], [4], 3, 0)
+    monkeypatch.setattr(model.SharedBottomNet, "__init__", counting_init)
+    splits = split(small_dataset(rates=(0.5, 0.3, 0.1)), (4, 1, 1))
+    strategy = StrategyConfig(kind="cograd", gammas=(0.1, 0.0, 0.2))
+    cfg = small_config(steps=4, strategy=strategy, loss_weights=None, transference_every=1)
+    _, log = train(net, splits, cfg)
+    assert len(log.transference) == 4 * 3 * 2
+    assert built == []
 
 
 def test_step_runs_the_trunk_forward_once_and_backward_once_per_task(monkeypatch):

@@ -3,8 +3,10 @@
 The coordination strategy replaces the Hessian-vector product H_j v with
 the cheap elementwise surrogate g_j * g_j * v. This script trains a small
 net for a few hundred steps, and at five checkpoints compares the
-surrogate against the exact HVP (``task_hvp``'s R-op) for both ordered
-task pairs: cosine similarity (direction) and norm ratio (scale).
+surrogate against the exact HVP (``trunk_hvp``'s R-op: one stacked
+backward pass and one stacked product per source task at each checkpoint)
+for both ordered task pairs: cosine similarity (direction) and norm ratio
+(scale).
 
 The surrogate is exact only in a constructed special case; on real
 training trajectories expect cosines well below 1. The point of the

@@ -29,13 +29,13 @@ from .gradmod import StrategyConfig, approx_hvp, measure_transference, pairwise_
 from .model import (
     SharedBottomNet,
     _bce,
-    backward_task,
+    backward,
     forward,
     init_net,
     load_net,
     read_json,
     save_net,
-    task_hvp,
+    trunk_hvp,
 )
 from .tasks_data import (
     DatasetSplits,
@@ -399,15 +399,38 @@ class RunResult:
 def _cell(
     cfg: ExperimentConfig, strategy_idx: int, seed: int
 ) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
-    """The splits, initial net and training settings of one (strategy, seed) cell."""
-    ds = build_dataset(cfg.data, seed)
-    net = init_net(
-        input_dim=ds.n_features,
-        shared_widths=list(cfg.model.shared_widths),
-        head_widths=list(cfg.model.head_widths),
-        num_tasks=ds.n_tasks,
-        seed=cfg.model.seed + seed,
-    )
+    """The splits, initial net and training settings of one (strategy, seed) cell.
+
+    A dataset or net that does not fit in memory raises ConfigError naming
+    the field that sizes it: for the net, the field of its largest layer,
+    which ``init_net`` allocates whole.
+    """
+    try:
+        ds = build_dataset(cfg.data, seed)  # only a synthetic dataset is allocated here
+    except MemoryError:
+        size = cfg.data.synthetic.n_samples * cfg.data.synthetic.n_features
+        raise ConfigError(
+            f"data.synthetic.n_samples: {size} float64 features do not fit in memory"
+        ) from None
+    try:
+        net = init_net(
+            input_dim=ds.n_features,
+            shared_widths=list(cfg.model.shared_widths),
+            head_widths=list(cfg.model.head_widths),
+            num_tasks=ds.n_tasks,
+            seed=cfg.model.seed + seed,
+        )
+    except MemoryError:
+        trunk = [ds.n_features, *cfg.model.shared_widths]
+        head = [trunk[-1], *cfg.model.head_widths, 1]
+        size, name = max(
+            ((a + 1) * b, field)
+            for field, w in (("model.shared_widths", trunk), ("model.head_widths", head))
+            for a, b in zip(w, w[1:])
+        )
+        raise ConfigError(
+            f"{name}: a layer of {size} float64 values does not fit in memory"
+        ) from None
     train_cfg = dataclasses.replace(cfg.train, strategy=cfg.strategies[strategy_idx], seed=seed)
     return split(ds, cfg.data.split), net, train_cfg
 
@@ -526,8 +549,10 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
     Runs a short training with the first configured strategy and seed,
     snapshots the net at the configured checkpoints, and for every ordered
     task pair records: cosine and norm ratio between the exact HVP (the R-op
-    of ``task_hvp``) and the surrogate, plus the exact-vs-first-order
-    transference gap at gamma and gamma/2. Returns the report path.
+    of ``trunk_hvp``) and the surrogate, plus the exact-vs-first-order
+    transference gap at gamma and gamma/2. Each snapshot takes one stacked
+    ``backward`` and T stacked products, one per source task. Returns the
+    report path.
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
@@ -557,14 +582,18 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
         snap = snapshots[step]  # a private copy, so the lookahead may write into its trunk
         logits, cache = forward(snap, x)
         losses = _bce(logits.T, y)
-        grads = [backward_task(snap, cache, y[t], t)[0].values for t in range(n_tasks)]
-        hvp_fns = [task_hvp(snap, cache, y[t], t) for t in range(n_tasks)]
+        grads = np.empty((n_tasks, snap.theta.size))
+        deltas: list = [None] * len(snap.shared_layers)
+        backward(snap, cache, y, grad_theta=grads, deltas=deltas)
+        hvp = trunk_hvp(snap, cache, deltas)
+        # Row j of products[i] is H_j g_i: task i's gradient in every row.
+        products = [hvp(np.broadcast_to(g, grads.shape)) for g in grads]
         for full, half in zip(
             measure_transference(step, snap, x, y, losses, grads, gammas),
             measure_transference(step, snap, x, y, losses, grads, halves),
         ):
             i, j = full.source_task, full.target_task
-            exact = hvp_fns[j](grads[i])
+            exact = products[i][j]
             ap = approx_hvp(grads[j], grads[i], strategy.lam)
             exact_norm = float(np.linalg.norm(exact))
             cosine = pairwise_cosine([exact, ap])[0, 1]

@@ -8,9 +8,9 @@ takes every ordered pair of a step on the live net, in T forward passes.
 - ``cograd_modify``: descend each task's loss while pushing transference up,
   using the squared-gradient curvature surrogate H_i v ~ lam * g_i (.) g_i (.) v.
 - ``cograd_modify_exact_hvp``: the same correction with true Hessian-vector
-  products, which training takes by the analytic R-op of every task at once;
-  central differences of gradient functions remain only as an adapter in
-  ``modify_gradients``.
+  products, taken by one stacked product of every task at once (training
+  passes ``model.trunk_hvp``'s R-op); central differences of gradient
+  functions remain only as an adapter in ``modify_gradients``.
 - ``pcgrad_modify``: project conflicting gradients onto partner normal planes.
 - ``magnitude_balance``: scale gradients toward the anchor task's moving norm.
 
@@ -208,32 +208,20 @@ def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
 
 
 def cograd_modify_exact_hvp(
-    grads,
-    hvp_fns: Callable[[np.ndarray], np.ndarray] | Sequence[Callable[[np.ndarray], np.ndarray]],
-    cfg: StrategyConfig,
+    grads, hvp_fns: Callable[[np.ndarray], np.ndarray], cfg: StrategyConfig
 ) -> np.ndarray:
     """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
 
     H_i is task i's Hessian over the shared parameters. ``hvp_fns`` is one
     stacked product, mapping a (T, P) array V to the (T, P) array whose row i
-    is H_i V[i] (training passes every task's R-op at once), or a sequence of
-    T products ``hvp_fns[i]: v -> H_i v``, such as ``model.task_hvp``'s. Each
-    row subtracts its partners' terms in ascending j, one stacked product per
-    round, and each ordered task pair takes its own product of the unscaled
-    partner gradient, so the correction is linear in gamma even for a
-    product that is not linear in its direction.
+    is H_i V[i], such as ``model.trunk_hvp``'s. Each row subtracts its
+    partners' terms in ascending j, one stacked product per round, and each
+    ordered task pair takes its own product of the unscaled partner gradient,
+    so the correction is linear in gamma even for a product that is not
+    linear in its direction.
     """
     G = _matrix(grads)
     cfg.check_tasks(len(G))
-    if callable(hvp_fns):
-        stacked = hvp_fns
-    elif len(hvp_fns) != len(G):
-        raise DimensionError(f"{len(G)} gradients but {len(hvp_fns)} HVP functions")
-    else:
-
-        def stacked(V: np.ndarray) -> np.ndarray:
-            return np.array([f(v) for f, v in zip(hvp_fns, V)])
-
     out = G.copy()
     tasks = np.arange(len(G))
     gammas = np.asarray(cfg.gammas)
@@ -242,7 +230,7 @@ def cograd_modify_exact_hvp(
         scales = gammas[partners]
         live = scales != 0.0
         if live.any():
-            out[live] -= (scales[:, None] * stacked(G[partners]))[live]
+            out[live] -= (scales[:, None] * hvp_fns(G[partners]))[live]
     return out
 
 
@@ -327,16 +315,16 @@ def modify_gradients(
     grad_fns: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     theta=None,
     moving_norms: np.ndarray | None = None,
-    hvp_fns: Callable | Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
+    hvp_fns: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Dispatch to the strategy named by ``cfg.kind``; returns a new (T, P) array.
 
     ``order_seed`` feeds pcgrad's traversal; ``moving_norms`` (the run's
     state, updated in place) is required by magnitude balancing only. The
     exact-HVP variant needs ``hvp_fns``, one stacked Hessian-vector product
-    or one per task (see ``cograd_modify_exact_hvp``), or else ``grad_fns``
-    and ``theta``, one trunk gradient function per task and the point, whose
-    products it takes by central differences.
+    (see ``cograd_modify_exact_hvp``), or else ``grad_fns`` and ``theta``, one
+    trunk gradient function per task and the point, whose products it takes
+    by central differences.
     """
     if cfg.kind == "sum":
         return _matrix(grads).copy()
@@ -344,7 +332,13 @@ def modify_gradients(
         return cograd_modify(grads, cfg)
     if cfg.kind == "cograd_exact_hvp":
         if hvp_fns is None and grad_fns is not None and theta is not None:
-            hvp_fns = [lambda v, f=f: finite_diff_hvp(f, theta, v) for f in grad_fns]
+            grads = _matrix(grads)
+            if len(grad_fns) != len(grads):
+                raise DimensionError(f"{len(grads)} gradients but {len(grad_fns)} functions")
+
+            def hvp_fns(V: np.ndarray) -> np.ndarray:
+                return np.array([finite_diff_hvp(f, theta, v) for f, v in zip(grad_fns, V)])
+
         if hvp_fns is None:
             raise ConfigError("cograd_exact_hvp needs hvp_fns, or grad_fns and theta")
         return cograd_modify_exact_hvp(grads, hvp_fns, cfg)

@@ -10,19 +10,18 @@ of the head updates.
 The net owns its parameters as flat buffers: ``theta`` for the trunk and one
 (T, P_h) array ``phi`` for the heads, row t being head t. Its layers' tensors
 are views into them, each head layer also stacked over a leading task axis.
-Forward, backward and the trunk's Hessian-vector products run each layer
-once for all T tasks, one (T, ...) array per layer; a stacked matmul makes
-the same BLAS call per task as a single product, so each task's numbers are
-bitwise those of its own pass. ``backward_task`` and ``task_hvp`` return
-one task's row of the T-task pass, at T times a one-task pass's cost.
+``forward``, ``backward`` and ``trunk_hvp`` run each layer once for all T
+tasks, one (T, ...) array per layer; a stacked matmul makes the same BLAS
+call per task as a single product, so each task's numbers are bitwise those
+of its own pass.
 
 All tensors are float64. Forward and backward are pure given (net, batch).
 ``predict_proba`` and ``trunk_activations`` walk a whole dataset in blocks
 of 1,024 rows (``_row_blocks``), so evaluation and the probe hold one
 block's layers at a time; the dataset check and the CSV reader of
 ``tasks_data`` take the same blocks.
-``task_hvp`` takes the exact Hessian-vector product over the trunk from a
-forward pass's cache, by the R-op, with no finite differences.
+``trunk_hvp`` takes every task's exact Hessian-vector product over the trunk
+from a forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi`` in place;
 ``set_theta`` / ``set_phi`` write a whole vector after checking its length.
 """
@@ -294,10 +293,10 @@ def forward(net: SharedBottomNet, features: np.ndarray) -> tuple[np.ndarray, For
     """Run a batch through the net; returns (n, T) logits and the cache."""
     x = _features(net, features)
     trunk = _stack_forward(net.shared_layers, x)
-    return _heads_forward(net, ForwardCache(x, *trunk, [], [], []))
+    return heads_forward(net, ForwardCache(x, *trunk, [], [], []))
 
 
-def _heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray, ForwardCache]:
+def heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray, ForwardCache]:
     """Run every head on the cached trunk output; returns logits and a new cache."""
     pres, masks, acts = _stack_forward(net.head_layers, cache.trunk_act[-1])
     logits = pres[-1][..., 0].T  # the output layer is the identity
@@ -411,23 +410,11 @@ def backward_task(
     """Analytic gradients of one task's mean BCE loss.
 
     Returns (grad over shared trunk, grad over that task's head) in the net's
-    ``theta_layout`` / ``phi_layouts[task_id]``: row ``task_id`` of the T-task pass.
+    ``theta_layout`` / ``phi_layouts[task_id]``: row ``task_id`` of ``backward``
+    on ``labels`` in every row.
     """
-    y = _checked_labels(net, cache, labels, task_id)
-    grad_theta, grad_phi = np.empty((net.num_tasks, net.theta.size)), np.empty(net.phi.shape)
-    _backward(net, cache, y, grad_phi, grad_theta)
-    return (
-        ParamVector(grad_theta[task_id], net.theta_layout),
-        ParamVector(grad_phi[task_id], net.phi_layouts[task_id]),
-    )
-
-
-def _checked_labels(
-    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int
-) -> np.ndarray:
-    """``labels`` in every row of a float64 (T, n) array, once ``task`` and ``cache`` fit."""
-    if not 0 <= task < net.num_tasks:
-        raise DimensionError(f"task_id {task} out of range")
+    if not 0 <= task_id < net.num_tasks:
+        raise DimensionError(f"task_id {task_id} out of range")
     layers = len(cache.trunk_pre), len(cache.heads_pre)
     if layers != (len(net.shared_layers), len(net.head_layers)):
         raise DimensionError("stale cache: layer count mismatch")
@@ -437,10 +424,15 @@ def _checked_labels(
         raise DimensionError(f"{y.size} labels for batch of {n}")
     if cache.heads_pre[-1].shape[:2] != (net.num_tasks, n):
         raise DimensionError("stale cache: task count or batch size mismatch")
-    return np.broadcast_to(y, (net.num_tasks, n))
+    grad_theta, grad_phi = np.empty((net.num_tasks, net.theta.size)), np.empty(net.phi.shape)
+    backward(net, cache, np.broadcast_to(y, (net.num_tasks, n)), grad_phi, grad_theta)
+    return (
+        ParamVector(grad_theta[task_id], net.theta_layout),
+        ParamVector(grad_phi[task_id], net.phi_layouts[task_id]),
+    )
 
 
-def _backward(
+def backward(
     net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray,
     grad_phi: np.ndarray | None = None, grad_theta: np.ndarray | None = None,
     deltas: list | None = None,
@@ -464,42 +456,22 @@ def _backward(
         )
 
 
-def task_hvp(
-    net: SharedBottomNet, cache: ForwardCache, labels: np.ndarray, task: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact trunk Hessian-vector product of task ``task``'s mean BCE: ``v -> H v``.
-
-    H is the Hessian over the flat shared vector at the point ``cache`` was
-    taken at, with the heads fixed. The product is Pearlmutter's R-op
-    (forward-over-reverse): a tangent forward pass through the trunk, whose
-    layers take their (dW, db) from ``v``'s slots, and a backward pass of the
-    tangents. It uses the cache's relu pattern, so it is exact wherever no
-    hidden pre-activation sits on a kink, and needs no step size. What does
-    not depend on ``v`` is computed once, here; each product reads the net's
-    current trunk weights, so it holds until they change.
-    """
-    y = _checked_labels(net, cache, labels, task)
-    deltas: list = [None] * len(net.shared_layers)
-    _backward(net, cache, y, deltas=deltas)
-    stacked = _trunk_hvp(net, cache, deltas)
-
-    def hvp(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).ravel()
-        if v.size != net.theta.size:
-            raise DimensionError(f"direction has {v.size} entries, the trunk {net.theta.size}")
-        return stacked(np.broadcast_to(v, (net.num_tasks, v.size)))[task]
-
-    return hvp
-
-
-def _trunk_hvp(
+def trunk_hvp(
     net: SharedBottomNet, cache: ForwardCache, deltas: list
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``task_hvp`` of every task at once: ``V -> HV`` for (T, P) arrays, row
-    t of HV being task t's H times ``V[t]``.
+    """Exact trunk Hessian-vector products of every task's mean BCE: ``V -> HV``
+    for (T, P) arrays, row t of HV being task t's H times ``V[t]``.
 
-    ``deltas`` holds the tasks' (T, n, width) loss gradients at each trunk
-    pre-activation.
+    H is the Hessian over the flat shared vector at the point ``cache`` was
+    taken at, with the heads fixed; ``deltas`` holds the tasks' (T, n, width)
+    loss gradients at each trunk pre-activation, as ``backward`` writes them.
+    The product is Pearlmutter's R-op (forward-over-reverse): a tangent
+    forward pass through the trunk, whose layers take their (dW, db) from
+    ``V``'s slots, and a backward pass of the tangents. It uses the cache's
+    relu pattern, so it is exact wherever no hidden pre-activation sits on a
+    kink, and needs no step size. What does not depend on ``V`` is computed
+    once, here; each product reads the net's current trunk weights, so it
+    holds until they change.
     """
     trunk, slots = net.shared_layers, net._theta_slots
     layers, pres, masks = net.head_layers, cache.heads_pre, cache.heads_mask
@@ -582,7 +554,7 @@ def theta_grad_fn(
         probe.set_theta(theta)
         _, cache = forward(probe, x)
         grad_theta = np.empty((1, probe.theta.size))
-        _backward(probe, cache, y[None], grad_theta=grad_theta)
+        backward(probe, cache, y[None], grad_theta=grad_theta)
         return grad_theta[0]
 
     return fn

@@ -48,15 +48,15 @@ from .gradmod import (
 from .metrics import evaluate_auc, evaluate_gauc, loss_weights_from_prior
 from .model import (
     SharedBottomNet,
-    _backward,
     _bce,
-    _heads_forward,
-    _trunk_hvp,
+    backward,
     forward,
+    heads_forward,
     predict_proba,
     sigmoid,
     task_loss,
     trunk_activations,
+    trunk_hvp,
 )
 from .tasks_data import DatasetSplits, MultiTaskDataset, batches, write_table
 
@@ -287,13 +287,13 @@ def train(
                     # Phase 1: every head steps on its own task's weighted loss gradient.
                     _, cache = forward(net, x)
                     grad_heads = np.empty(net.phi.shape)
-                    _backward(net, cache, y, grad_phi=grad_heads)
+                    backward(net, cache, y, grad_phi=grad_heads)
                     net.phi[...] = _optimizer_step(
                         net.phi, weights[:, None] * grad_heads, heads_state, lr, step
                     )
 
                     # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
-                    logits, cache = _heads_forward(net, cache)
+                    logits, cache = heads_forward(net, cache)
                 except EvaluationError as exc:
                     raise DivergenceError(f"training diverged at step {step}: {exc}") from exc
                 losses = _bce(logits.T, y)
@@ -301,7 +301,7 @@ def train(
                     raise DivergenceError(f"training diverged at step {step}: non-finite loss")
                 raw_grads = np.empty((num_tasks, net.theta.size))
                 deltas = [None] * len(net.shared_layers)
-                _backward(net, cache, y, grad_theta=raw_grads, deltas=deltas)
+                backward(net, cache, y, grad_theta=raw_grads, deltas=deltas)
 
                 if cfg.transference_every and step % cfg.transference_every == 0:
                     gammas = cfg.strategy.probe_gammas(num_tasks)
@@ -311,7 +311,7 @@ def train(
 
                 hvp_fns = None
                 if cfg.strategy.kind == "cograd_exact_hvp":
-                    hvp_fns = _trunk_hvp(net, cache, deltas)
+                    hvp_fns = trunk_hvp(net, cache, deltas)
                 modified = modify_gradients(
                     raw_grads,
                     cfg.strategy,

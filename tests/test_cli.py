@@ -486,6 +486,39 @@ def test_csv_trunk_numpy_cannot_address_exits_2_naming_it(tmp_path, capsys):
     assert "model.shared_widths: 16140901064495857664 float64 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "validate-approx", "capacity-sweep"])
+@pytest.mark.parametrize(
+    "builder, section, key, value, named",
+    [
+        ("generate_synthetic", "synthetic", "n_samples", 2**31,
+         "data.synthetic.n_samples: 12884901888 float64 features do not fit in memory"),
+        ("init_net", "model", "shared_widths", [2**31],
+         "model.shared_widths: a layer of 15032385536 float64 values does not fit in memory"),
+        ("init_net", "model", "head_widths", [2**31],
+         "model.head_widths: a layer of 19327352832 float64 values does not fit in memory"),
+    ],
+    ids=["dataset", "trunk", "heads"],
+)
+def test_sizes_past_memory_exit_2_naming_them(
+    tmp_path, capsys, monkeypatch, command, builder, section, key, value, named
+):
+    # numpy can address these arrays but the machine need not hold them. The
+    # builder raises MemoryError in place of numpy's, allocating nothing; the
+    # largest trunk layer is 7 x 2**31 values on 6 features, a head's 9 x 2**31
+    # on an 8-unit trunk.
+    from cograd import experiments
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(experiments, builder, out_of_memory)
+    config, raw = write_config(tmp_path)
+    (raw["data"]["synthetic"] if section == "synthetic" else raw[section])[key] = value
+    config.write_text(json.dumps(raw))
+    assert main([command, str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_probe_bad_csv_exits_2(tmp_path, capsys):
     ckpt, csv_path, _ = probe_fixtures(tmp_path)
     bad = tmp_path / "bad.csv"

@@ -463,13 +463,26 @@ def test_validate_approx_runs_on_a_wide_trunk(tmp_path):
     assert all(-1.0 <= float(line.split(",")[3]) <= 1.0 for line in lines[1:])
 
 
-def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypatch):
-    # The hvp_* cells compare the surrogate against task_hvp's exact product.
-    # Rerun with a central-difference product in its place: where no relu of
-    # the probe batch changes sign within the difference's step, the two
-    # reports agree to 1e-6, and the transference gaps, which no product
-    # enters, bit for bit.
-    from cograd import experiments, finite_diff_hvp, forward, hvp_default_eps, theta_grad_fn
+def validate_config(num_tasks):
+    """``base_config`` with ``num_tasks`` tasks and validate checkpoints 0, 4 and 8."""
+    raw = base_config()
+    raw["data"]["synthetic"]["positive_rates"] = [0.5, 0.5, 0.3][:num_tasks]
+    raw["train"]["loss_weights"] = [1.0] * num_tasks
+    raw["strategies"][1]["gammas"] = [0.05] * num_tasks
+    raw["validate"] = {"checkpoints": [0, 4, 8]}
+    return raw
+
+
+@pytest.mark.parametrize("num_tasks", [2, 3])
+def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypatch, num_tasks):
+    # The hvp_* cells compare the surrogate against trunk_hvp's exact product.
+    # Rerun with a stacked central-difference product in its place: where no
+    # relu of the probe batch changes sign within the difference's step, the
+    # two reports agree to 1e-6, and the transference gaps, which no product
+    # enters, bit for bit. At T = 3 each snapshot has six ordered pairs, so a
+    # row taken from the wrong partner shows.
+    from cograd import backward, experiments, finite_diff_hvp, forward, hvp_default_eps
+    from cograd import theta_grad_fn
 
     def relu_signs(net, x, theta):
         probe = net.copy()
@@ -478,29 +491,71 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
         heads = (pre[t] for t in range(probe.num_tasks) for pre in cache.heads_pre[:-1])
         return [z > 0.0 for z in [*cache.trunk_pre, *heads]]
 
-    def central_difference_hvp(net, cache, labels, task):
-        grad_fn = theta_grad_fn(net, cache.features, labels, task)
+    labels = []
 
-        def hvp(v):
-            at = relu_signs(net, cache.features, net.theta)
-            for sign in (1.0, -1.0):  # kink-free along the difference's step
-                step = net.theta + sign * hvp_default_eps(net.theta) * v
-                assert all(map(np.array_equal, relu_signs(net, cache.features, step), at))
-            return finite_diff_hvp(grad_fn, net.theta, v)
+    def recording_backward(net, cache, y, **outputs):
+        labels.append(y)
+        backward(net, cache, y, **outputs)
+
+    def central_difference_trunk_hvp(net, cache, deltas):
+        x, y = cache.features, labels[-1]
+        grad_fns = [theta_grad_fn(net, x, y[t], t) for t in range(net.num_tasks)]
+
+        def hvp(V):
+            at = relu_signs(net, x, net.theta)
+            for v in V:
+                for sign in (1.0, -1.0):  # kink-free along the difference's step
+                    step = net.theta + sign * hvp_default_eps(net.theta) * v
+                    assert all(map(np.array_equal, relu_signs(net, x, step), at))
+            return np.array([finite_diff_hvp(f, net.theta, v) for f, v in zip(grad_fns, V)])
 
         return hvp
 
-    raw = base_config()
-    raw["validate"] = {"checkpoints": [0, 4, 8]}
+    raw = validate_config(num_tasks)
     reports = [run_validate_approx(resolve_config(raw, tmp_path / "exact"))]
-    monkeypatch.setattr(experiments, "task_hvp", central_difference_hvp)
+    monkeypatch.setattr(experiments, "backward", recording_backward)
+    monkeypatch.setattr(experiments, "trunk_hvp", central_difference_trunk_hvp)
     reports.append(run_validate_approx(resolve_config(raw, tmp_path / "fd")))
     exact, fd = ([line.split(",") for line in r.read_text().splitlines()[1:]] for r in reports)
-    assert len(exact) == len(fd) == 3 * 2
+    assert len(exact) == len(fd) == 3 * num_tasks * (num_tasks - 1)
     for got, want in zip(exact, fd):
         assert got[:3] + got[5:] == want[:3] + want[5:]
         assert float(got[3]) == pytest.approx(float(want[3]), abs=1e-6)  # cosine
         assert float(got[4]) == pytest.approx(float(want[4]), rel=1e-6)  # norm ratio
+
+
+def test_validate_approx_takes_one_backward_and_t_products_per_snapshot(tmp_path, monkeypatch):
+    # One stacked backward and one stacked product per source task, not one
+    # product per ordered pair: at T = 3, three products per snapshot, not six.
+    # The product here is the surrogate itself, row j being g_j * g_j * V[j],
+    # so each cell reads H_j g_i from row j of source i's product only if
+    # every norm ratio is 1 and every cosine 1.
+    from cograd import approx_hvp, backward, experiments
+
+    calls, grads = [], []
+
+    def counting_backward(net, cache, y, grad_theta, deltas):
+        calls.append("backward")
+        grads.append(grad_theta)
+        backward(net, cache, y, grad_theta=grad_theta, deltas=deltas)
+
+    def surrogate_trunk_hvp(net, cache, deltas):
+        G = grads[-1]
+
+        def product(V):
+            calls.append("product")
+            return approx_hvp(G, V)
+
+        return product
+
+    monkeypatch.setattr(experiments, "backward", counting_backward)
+    monkeypatch.setattr(experiments, "trunk_hvp", surrogate_trunk_hvp)
+    report = run_validate_approx(resolve_config(validate_config(3), tmp_path))
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    assert calls == ["backward", "product", "product", "product"] * 3
+    assert len(rows) == 3 * 6
+    for row in rows:
+        assert float(row[3]) == pytest.approx(1.0, abs=1e-12) and float(row[4]) == 1.0
 
 
 def checkpoint_and_csv(tmp_path, angle=0.0, rates=(0.5, 0.5)):

@@ -9,9 +9,11 @@ from cograd import (
     DegenerateGradientError,
     DimensionError,
     EvaluationError,
+    SharedBottomNet,
     StrategyConfig,
     TransferenceRecord,
     approx_hvp,
+    backward,
     backward_task,
     cograd_modify,
     cograd_modify_exact_hvp,
@@ -24,10 +26,10 @@ from cograd import (
     modify_gradients,
     pairwise_cosine,
     pcgrad_modify,
-    task_hvp,
     theta_grad_fn,
     transfer_exact,
     transfer_first_order,
+    trunk_hvp,
 )
 from cograd.model import _bce, theta_loss_fn
 
@@ -223,14 +225,14 @@ def test_cograd_exact_hvp_identity_hessian():
     # plain weighted partner subtraction.
     g1 = np.array([1.0, 0.0, 2.0])
     g2 = np.array([0.5, 1.0, -1.0])
-    out = cograd_modify_exact_hvp([g1, g2], [lambda v: v, lambda v: v], cfg(gammas=(0.2, 0.1)))
+    out = cograd_modify_exact_hvp([g1, g2], lambda V: V, cfg(gammas=(0.2, 0.1)))
     assert np.allclose(out[0], g1 - 0.1 * g2, atol=1e-9)
     assert np.allclose(out[1], g2 - 0.2 * g1, atol=1e-9)
 
 
 def test_cograd_exact_hvp_zero_gamma_identity():
     g = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    out = cograd_modify_exact_hvp(g, [lambda v: v] * 2, cfg(gammas=(0.0, 0.0)))
+    out = cograd_modify_exact_hvp(g, lambda V: V, cfg(gammas=(0.0, 0.0)))
     assert np.array_equal(out[0], g[0]) and np.array_equal(out[1], g[1])
 
 
@@ -242,9 +244,8 @@ def test_cograd_exact_hvp_matches_surrogate_on_constructed_case():
     theta = 1.0 / np.sqrt(h)
     g = h * theta
     grads = [g.copy(), g.copy()]
-    hvp_fns = [lambda v: h * v, lambda v: h * v]
     strategy = cfg(gammas=(0.3, 0.1))
-    exact = cograd_modify_exact_hvp(grads, hvp_fns, strategy)
+    exact = cograd_modify_exact_hvp(grads, lambda V: h * V, strategy)
     surrogate = cograd_modify(grads, strategy)
     for a, b in zip(exact, surrogate):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-6
@@ -257,38 +258,52 @@ def test_cograd_exact_hvp_on_a_wide_trunk_is_linear_in_gamma():
     net = init_net(128, [128, 64], [4], 2, seed=3)
     x = rng.standard_normal((64, 128))
     y = (rng.uniform(size=(64, 2)) < 0.5).astype(float)
-    _, cache = forward(net, x)
-    grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(2)]
-    hvp_fns = [task_hvp(net, cache, y[:, t], t) for t in range(2)]
+    grads, hvp = stacked_products(net, x, y)
     assert net.theta.size == 24_768
-    one, two = (
-        cograd_modify_exact_hvp(grads, hvp_fns, cfg(gammas=(g, 0.5 * g))) for g in (0.1, 0.2)
-    )
+    one, two = (cograd_modify_exact_hvp(grads, hvp, cfg(gammas=(g, 0.5 * g))) for g in (0.1, 0.2))
     for g, a, b in zip(grads, one, two):
         assert np.linalg.norm(g - a) > 0.0
         np.testing.assert_allclose(g - b, 2.0 * (g - a), rtol=1e-9, atol=1e-14)
 
 
+def stacked_products(net, x, y):
+    """The (T, P) trunk gradients of the (n, T) labels ``y`` and their stacked R-op."""
+    _, cache = forward(net, x)
+    grads = np.empty((net.num_tasks, net.theta.size))
+    deltas = [None] * len(net.shared_layers)
+    backward(net, cache, np.ascontiguousarray(y.T), grad_theta=grads, deltas=deltas)
+    return grads, trunk_hvp(net, cache, deltas)
+
+
+def one_head_products(net, x, y):
+    """Each task's trunk gradient and R-op from its own one-head net, stacked:
+    task t's pass alone, with no other head in the stack."""
+    grads, products = [], []
+    for t, head in enumerate(net.task_heads):
+        one = SharedBottomNet(net.input_dim, net.shared_layers, [head])
+        grad, hvp = stacked_products(one, x, y[:, t : t + 1])
+        grads.append(grad[0])
+        products.append(lambda v, hvp=hvp: hvp(v[None])[0])
+    return np.array(grads), lambda V: np.array([f(v) for f, v in zip(products, V)])
+
+
 @pytest.mark.parametrize("gammas", [(0.05, 0.02, 0.1), (0.05, 0.0, 0.1), (0.0, 0.0, 0.0)])
 def test_stacked_products_match_per_task_products_bitwise(gammas):
     # Training passes one stacked R-op for every task; each row subtracts its
-    # partners in ascending j, so it equals T per-task task_hvp products bit for
+    # partners in ascending j, so it equals T one-head nets' products bit for
     # bit at T = 3, a zero gamma included.
-    from cograd import model
-
     rng = np.random.default_rng(10)
     net = init_net(6, [8, 5, 4], [4, 3], 3, seed=2)
     x = rng.standard_normal((50, 6))
     y = (rng.uniform(size=(50, 3)) < 0.4).astype(float)
+    grads, hvp = stacked_products(net, x, y)
+    per_task_grads, per_task = one_head_products(net, x, y)
+    assert np.array_equal(grads, per_task_grads)
     _, cache = forward(net, x)
-    grads = np.empty((3, net.theta.size))
-    deltas = [None] * len(net.shared_layers)
-    model._backward(net, cache, np.ascontiguousarray(y.T), grad_theta=grads, deltas=deltas)
     for t in range(3):
         assert np.array_equal(grads[t], backward_task(net, cache, y[:, t], t)[0].values)
-    per_task = [task_hvp(net, cache, y[:, t], t) for t in range(3)]
     strategy = cfg(gammas=gammas)
-    stacked = cograd_modify_exact_hvp(grads, model._trunk_hvp(net, cache, deltas), strategy)
+    stacked = cograd_modify_exact_hvp(grads, hvp, strategy)
     assert np.array_equal(stacked, cograd_modify_exact_hvp(grads, per_task, strategy))
     if not any(gammas):
         assert np.array_equal(stacked, grads)
@@ -317,6 +332,9 @@ def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
         assert np.linalg.norm((g - b) - 2.0 * (g - a)) <= 1e-9 * np.linalg.norm(g - b)
     expected = grads[0] - 0.25 * finite_diff_hvp(grad_fns[0], net.theta, grads[1])
     assert np.array_equal(one[0], expected)
+    strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=(0.5, 0.25))
+    with pytest.raises(DimensionError, match="2 gradients but 1 functions"):
+        modify_gradients(grads, strategy, grad_fns=grad_fns[:1], theta=net.theta)
 
 
 def test_pcgrad_hand_projection():
@@ -625,7 +643,7 @@ RAGGED = [np.ones(3), np.ones(4)]
     [
         lambda g: modify_gradients(g, StrategyConfig(kind="sum")),
         lambda g: cograd_modify(g, cfg(gammas=(0.1, 0.1))),
-        lambda g: cograd_modify_exact_hvp(g, [lambda v: v] * 2, cfg()),
+        lambda g: cograd_modify_exact_hvp(g, lambda V: V, cfg()),
         lambda g: pcgrad_modify(g, order_seed=0),
         lambda g: magnitude_balance(g, cfg(kind="magnitude_balance", gammas=()), np.zeros(2)),
         pairwise_cosine,

@@ -15,6 +15,7 @@ from cograd import (
     EvaluationError,
     LayoutError,
     SharedBottomNet,
+    backward,
     backward_task,
     finite_diff_gradient,
     finite_diff_hvp,
@@ -23,10 +24,10 @@ from cograd import (
     load_net,
     predict_proba,
     save_net,
-    task_hvp,
     task_loss,
     theta_grad_fn,
     trunk_activations,
+    trunk_hvp,
 )
 from cograd.model import _row_blocks, sigmoid
 
@@ -281,15 +282,26 @@ def hvp_case(shared_widths, head_widths, seed=0, n=16):
     return net, x, y, forward(net, x)[1]
 
 
+def task_products(net, cache, y):
+    """Row t of ``trunk_hvp`` on the (n, T) labels ``y`` as task t's ``v -> H v``,
+    for each task: ``v`` in every row of the stacked direction."""
+    deltas = [None] * len(net.shared_layers)
+    backward(net, cache, np.ascontiguousarray(y.T), deltas=deltas)
+    hvp = trunk_hvp(net, cache, deltas)
+    return [
+        lambda v, t=t: hvp(np.broadcast_to(v, (net.num_tasks, v.size)))[t]
+        for t in range(net.num_tasks)
+    ]
+
+
 @pytest.mark.parametrize("head_widths", [[4], [4, 3]])
 @pytest.mark.parametrize("shared_widths", [[8], [16, 8], [8, 5, 4]])
-def test_task_hvp_matches_central_differences_of_the_gradient(shared_widths, head_widths):
+def test_trunk_hvp_matches_central_differences_of_the_gradient(shared_widths, head_widths):
     # Away from relu kinks the R-op product is the derivative of the analytic
     # trunk gradient along v, which central differences reproduce to O(eps^2).
     net, x, y, cache = hvp_case(shared_widths, head_widths)
     rng = np.random.default_rng(3)
-    for t in range(3):
-        hvp = task_hvp(net, cache, y[:, t], t)
+    for t, hvp in enumerate(task_products(net, cache, y)):
         grad_fn = theta_grad_fn(net, x, y[:, t], t)
         for _ in range(2):
             v = rng.standard_normal(net.theta.size)
@@ -299,29 +311,17 @@ def test_task_hvp_matches_central_differences_of_the_gradient(shared_widths, hea
 
 
 @pytest.mark.parametrize("shared_widths", [[8], [16, 8], [8, 5, 4]])
-def test_task_hvp_is_symmetric_and_linear(shared_widths):
+def test_trunk_hvp_is_symmetric_and_linear(shared_widths):
     # u.Hv = v.Hu, H(a u + b v) = a Hu + b Hv, and H0 = 0, each in floating point.
     net, _, y, cache = hvp_case(shared_widths, [4, 3], seed=1)
     rng = np.random.default_rng(4)
-    for t in range(3):
-        hvp = task_hvp(net, cache, y[:, t], t)
+    for hvp in task_products(net, cache, y):
         u, v = rng.standard_normal((2, net.theta.size))
         hu, hv = hvp(u), hvp(v)
         assert abs(u @ hv - v @ hu) <= 1e-12 * abs(u @ hv)
         mixed = hvp(2.5 * u - 0.75 * v)
         assert np.linalg.norm(mixed - (2.5 * hu - 0.75 * hv)) <= 1e-12 * np.linalg.norm(mixed)
         assert np.array_equal(hvp(np.zeros(net.theta.size)), np.zeros(net.theta.size))
-
-
-def test_task_hvp_refuses_a_bad_task_or_direction():
-    net, _, y, cache = hvp_case([8], [4])
-    for task in (-1, 3):
-        with pytest.raises(DimensionError, match="out of range"):
-            task_hvp(net, cache, y[:, 0], task)
-    with pytest.raises(DimensionError, match="labels for batch"):
-        task_hvp(net, cache, y[:-1, 0], 0)
-    with pytest.raises(DimensionError, match="direction has 3 entries"):
-        task_hvp(net, cache, y[:, 0], 0)(np.ones(3))
 
 
 def test_theta_loss_fn_runs_its_own_head_only():

@@ -363,20 +363,23 @@ def _two_forward_reference(net, splits, cfg, weights):
     """The training step in its two-forward form, from public calls only.
 
     Phase 1 updates each head from ``backward_task``; phase 2 runs the whole
-    net forward again, and exact-HVP products come from ``task_hvp`` on that
-    second forward's cache. Transference records follow the paper's
+    net forward again, and task t's exact-HVP product comes from a one-head
+    net of the trunk and head t, row 0 of its ``trunk_hvp``, on that net's
+    own forward pass. Transference records follow the paper's
     definition, ``transfer_exact`` of each target task's one-head loss
     function. Returns per-step losses and cosines, eval values and
     transference records.
     """
     from cograd import (
+        SharedBottomNet,
         TransferenceRecord,
+        backward,
         batches,
         modify_gradients,
         pairwise_cosine,
-        task_hvp,
         transfer_exact,
         transfer_first_order,
+        trunk_hvp,
     )
     from cograd.model import theta_loss_fn
     from cograd.trainer import evaluate_split
@@ -386,6 +389,14 @@ def _two_forward_reference(net, splits, cfg, weights):
     phi_states = [AdamState.zeros(phi.size) for phi in net.phi]
     moving_norms = np.zeros(num_tasks)
     losses, cosines, evals, transference = [], [], [], []
+
+    def one_head_product(x, y, t):
+        one = SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[t]])
+        _, cache = forward(one, x)
+        deltas = [None] * len(one.shared_layers)
+        backward(one, cache, y[None, :, t], deltas=deltas)
+        hvp = trunk_hvp(one, cache, deltas)
+        return lambda v: hvp(v[None])[0]
 
     step = epoch = 0
     while step < cfg.steps:
@@ -414,12 +425,13 @@ def _two_forward_reference(net, splits, cfg, weights):
                     for j in range(num_tasks)
                     if j != i
                 )
+            products = [one_head_product(x, y, t) for t in range(num_tasks)]
             modified = modify_gradients(
                 grads,
                 cfg.strategy,
                 order_seed=cfg.seed * 1_000_003 + step,
                 moving_norms=moving_norms,
-                hvp_fns=[task_hvp(net, cache, y[:, t], t) for t in range(num_tasks)],
+                hvp_fns=lambda V: np.array([f(v) for f, v in zip(products, V)]),
             )
             aggregate = np.zeros(net.theta.size)
             for t in range(num_tasks):

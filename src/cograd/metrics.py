@@ -81,13 +81,13 @@ def evaluate_gauc(scores, labels, group_ids) -> float:
     return float(np.dot(weights, aucs))
 
 
-def loss_weights_from_prior(labels) -> np.ndarray:
+def loss_weights_from_prior(labels: np.ndarray) -> np.ndarray:
     """Task weights inversely proportional to label entropy, summing to T.
 
     Sparse tasks (low-entropy labels) get large weights. ``labels`` is the
-    (n, T) label matrix or a dataset exposing one.
+    (n, T) label matrix.
     """
-    y = np.asarray(getattr(labels, "labels", labels), dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 2:
         raise DimensionError("expected an (n, T) label matrix")
     rates = y.mean(axis=0)

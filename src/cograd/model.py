@@ -20,6 +20,9 @@ All tensors are float64. Forward and backward are pure given (net, batch).
 of 1,024 rows (``_row_blocks``), so evaluation and the probe hold one
 block's layers at a time; the dataset check and the CSV reader of
 ``tasks_data`` take the same blocks.
+A forward pass caches each layer's output and nothing else: a relu's slope
+is read off its output, and a relu output is written in place over its own
+fresh pre-activation.
 ``trunk_hvp`` takes every task's exact Hessian-vector product over the trunk
 from a forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi`` in place;
@@ -213,21 +216,16 @@ def _own(
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations, relu masks and activations for one batch.
+    """Each layer's output for one batch, each list led by its stack's input.
 
-    Trunk entries are (n, width); head entries are stacked over tasks,
-    (T, n, width), entry i being head layer i. A relu layer's mask is True
-    where its pre-activation is positive (its slope, with the slope at 0
-    taken as 0); an identity layer's mask is None.
+    ``trunk_act`` holds (n, width) arrays led by the features. ``heads_act``
+    holds the (T, n, width) head outputs, stacked over tasks, led by
+    ``trunk_act[-1]`` (the same array); its last entry holds the logits. A
+    relu's slope is read off its output (see ``_masked``).
     """
 
-    features: np.ndarray
-    trunk_pre: list[np.ndarray]
-    trunk_mask: list[np.ndarray | None]
-    trunk_act: list[np.ndarray]  # led by the features; trunk_act[-1] feeds every head
-    heads_pre: list[np.ndarray]
-    heads_mask: list[np.ndarray | None]
-    heads_act: list[np.ndarray]  # each head layer's output
+    trunk_act: list[np.ndarray]
+    heads_act: list[np.ndarray]
 
 
 def init_net(
@@ -275,35 +273,34 @@ def _features(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
 
 def _stack_forward(
     layers: list[DenseLayer] | list[StackedLayer], a: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray | None], list[np.ndarray]]:
-    """Run ``a`` through ``layers``: pre-activations, relu masks, and activations led by ``a``."""
-    pres: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
-    acts: list[np.ndarray] = [a]
+) -> list[np.ndarray]:
+    """Run ``a`` through ``layers``; returns each layer's output, led by ``a``.
+
+    A relu output is written in place over the layer's fresh pre-activation,
+    so each layer allocates one array and ``a`` is never written.
+    """
+    acts = [a]
     for layer in layers:
-        pres.append(a @ layer.weights + layer.bias[..., None, :])
-        relu = layer.activation == "relu"
-        masks.append(pres[-1] > 0.0 if relu else None)
-        a = np.maximum(pres[-1], 0.0) if relu else pres[-1]
+        a = a @ layer.weights + layer.bias[..., None, :]
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
-    return pres, masks, acts
+    return acts
 
 
 def forward(net: SharedBottomNet, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch through the net; returns (n, T) logits and the cache."""
-    x = _features(net, features)
-    trunk = _stack_forward(net.shared_layers, x)
-    return heads_forward(net, ForwardCache(x, *trunk, [], [], []))
+    trunk = _stack_forward(net.shared_layers, _features(net, features))
+    return heads_forward(net, ForwardCache(trunk, []))
 
 
 def heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray, ForwardCache]:
     """Run every head on the cached trunk output; returns logits and a new cache."""
-    pres, masks, acts = _stack_forward(net.head_layers, cache.trunk_act[-1])
-    logits = pres[-1][..., 0].T  # the output layer is the identity
+    acts = _stack_forward(net.head_layers, cache.trunk_act[-1])
+    logits = acts[-1][..., 0].T  # the output layer is the identity
     if not np.all(np.isfinite(logits)):
         raise EvaluationError("forward produced non-finite logits")
-    trunk = cache.trunk_pre, cache.trunk_mask, cache.trunk_act
-    return logits, ForwardCache(cache.features, *trunk, pres, masks, acts[1:])
+    return logits, ForwardCache(cache.trunk_act, acts)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -345,7 +342,7 @@ def trunk_activations(net: SharedBottomNet, features: np.ndarray) -> np.ndarray:
     x = _features(net, features)
     out = np.empty((x.shape[0], net.trunk_width))
     for rows in _row_blocks(x.shape[0]):
-        out[rows] = _stack_forward(net.shared_layers, x[rows])[2][-1]
+        out[rows] = _stack_forward(net.shared_layers, x[rows])[-1]
     return out
 
 
@@ -368,33 +365,34 @@ def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce(per_row, axis=-1) / z.shape[-1]
 
 
-def _masked(mask: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """``x`` times a layer's activation slope, given its relu mask (None for the identity)."""
-    return x if mask is None else x * mask
+def _masked(layer: DenseLayer | StackedLayer, out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` times ``layer``'s activation slope, read off its output ``out``:
+    a relu's slope is 1 where its output is positive and 0 elsewhere, the
+    slope at 0 taken as 0."""
+    return x * (out > 0.0) if layer.activation == "relu" else x
 
 
 def _stack_backward(
-    layers: list[DenseLayer] | list[StackedLayer], masks: list, inputs: list | None,
-    grad_out: np.ndarray, slots: list[tuple[slice, slice]] | None, grad: np.ndarray | None,
-    deltas: list | None = None,
+    layers: list[DenseLayer] | list[StackedLayer], acts: list, grad_out: np.ndarray,
+    slots: list[tuple[slice, slice]] | None, grad: np.ndarray | None, deltas: list | None = None,
 ) -> np.ndarray:
     """Backpropagate ``grad_out``, the (k, n, width) loss gradients of k stacked
     tasks at the stack's output.
 
-    Writes each layer's weight and bias gradient into row r of ``grad`` (if
-    given) at its slot, given layer i's relu mask ``masks[i]`` and input
-    ``inputs[i]``, and returns the gradient at the first layer's
-    pre-activation. ``deltas[i]`` (if given) receives the gradient at layer
-    i's pre-activation.
+    ``acts`` holds the stack's input then each layer's output, as
+    ``_stack_forward`` returns them. Writes each layer's weight and bias
+    gradient into row r of ``grad`` (if given) at its slot, and returns the
+    gradient at the first layer's pre-activation. ``deltas[i]`` (if given)
+    receives the gradient at layer i's pre-activation.
     """
     delta = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        delta = _masked(masks[i], delta)
+        delta = _masked(layers[i], acts[i + 1], delta)
         if deltas is not None:
             deltas[i] = delta
         if grad is not None:
             w, b = slots[i]
-            grad[:, w] = (inputs[i].swapaxes(-1, -2) @ delta).reshape(len(grad), -1)
+            grad[:, w] = (acts[i].swapaxes(-1, -2) @ delta).reshape(len(grad), -1)
             grad[:, b] = delta.sum(axis=-2)
         if i > 0:
             delta = delta @ layers[i].weights.swapaxes(-1, -2)
@@ -415,14 +413,14 @@ def backward_task(
     """
     if not 0 <= task_id < net.num_tasks:
         raise DimensionError(f"task_id {task_id} out of range")
-    layers = len(cache.trunk_pre), len(cache.heads_pre)
-    if layers != (len(net.shared_layers), len(net.head_layers)):
+    layers = len(cache.trunk_act), len(cache.heads_act)
+    if layers != (len(net.shared_layers) + 1, len(net.head_layers) + 1):
         raise DimensionError("stale cache: layer count mismatch")
-    n = cache.features.shape[0]
+    n = cache.trunk_act[0].shape[0]
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != n:
         raise DimensionError(f"{y.size} labels for batch of {n}")
-    if cache.heads_pre[-1].shape[:2] != (net.num_tasks, n):
+    if cache.heads_act[-1].shape[:2] != (net.num_tasks, n):
         raise DimensionError("stale cache: task count or batch size mismatch")
     grad_theta, grad_phi = np.empty((net.num_tasks, net.theta.size)), np.empty(net.phi.shape)
     backward(net, cache, np.broadcast_to(y, (net.num_tasks, n)), grad_phi, grad_theta)
@@ -446,12 +444,11 @@ def backward(
     """
     layers = net.head_layers
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (sigmoid(cache.heads_pre[-1]) - labels[..., None]) / labels.shape[-1]
-    inputs = [cache.trunk_act[-1], *cache.heads_act]
-    delta = _stack_backward(layers, cache.heads_mask, inputs, delta, net._phi_slots, grad_phi)
+    delta = (sigmoid(cache.heads_act[-1]) - labels[..., None]) / labels.shape[-1]
+    delta = _stack_backward(layers, cache.heads_act, delta, net._phi_slots, grad_phi)
     if (grad_theta is not None or deltas is not None) and net.shared_layers:
         _stack_backward(  # head input gradient = trunk output gradient
-            net.shared_layers, cache.trunk_mask, cache.trunk_act,
+            net.shared_layers, cache.trunk_act,
             delta @ layers[0].weights.swapaxes(-1, -2), net._theta_slots, grad_theta, deltas,
         )
 
@@ -473,15 +470,15 @@ def trunk_hvp(
     once, here; each product reads the net's current trunk weights, so it
     holds until they change.
     """
-    trunk, slots = net.shared_layers, net._theta_slots
-    layers, pres, masks = net.head_layers, cache.heads_pre, cache.heads_mask
-    k, n = pres[-1].shape[:2]
+    trunk, slots, acts = net.shared_layers, net._theta_slots, cache.trunk_act
+    layers, logits = net.head_layers, cache.heads_act[-1]
+    k, n = logits.shape[:2]
     # Each row's logit gradient at the trunk output. The head is fixed and its
     # relu pattern too, so a tangent crosses it along this row, and so does
     # its R-backward.
-    jac = _stack_backward(layers, masks, None, np.ones((k, n, 1)), None, None)
+    jac = _stack_backward(layers, cache.heads_act, np.ones((k, n, 1)), None, None)
     jac = jac @ layers[0].weights.swapaxes(-1, -2)
-    p = sigmoid(pres[-1])
+    p = sigmoid(logits)
     curvature = p * (1.0 - p) / n  # the mean BCE's second derivative in the logit
 
     def hvp(V: np.ndarray) -> np.ndarray:
@@ -494,19 +491,19 @@ def trunk_hvp(
         # Tangent forward: R(z_i) = R(a_i) W_i + a_i dW_i + db_i, and R(a_0) = 0.
         r_acts = [None]
         for i, (layer, (dw, db)) in enumerate(zip(trunk, tangents)):
-            r_pre = cache.trunk_act[i] @ dw + db
+            r_pre = acts[i] @ dw + db
             if i:
                 r_pre += r_acts[i] @ layer.weights
-            r_acts.append(_masked(cache.trunk_mask[i], r_pre))
+            r_acts.append(_masked(layer, acts[i + 1], r_pre))
         r_logit = np.sum(r_acts[-1] * jac, axis=-1, keepdims=True)
         r_delta = curvature * r_logit * jac  # R(dL/da) at the trunk output
         # Down the trunk: R(dL/dW_i) = a_i' R(delta_i) + R(a_i)' delta_i, and
         # R(delta) crosses a layer as R(delta_i) W_i' + delta_i dW_i'.
         out = np.empty((k, net.theta.size))
         for i in range(len(trunk) - 1, -1, -1):
-            r_delta = _masked(cache.trunk_mask[i], r_delta)
+            r_delta = _masked(trunk[i], acts[i + 1], r_delta)
             w, b = slots[i]
-            grad_w = cache.trunk_act[i].T @ r_delta
+            grad_w = acts[i].T @ r_delta
             out[:, b] = r_delta.sum(axis=-2)
             if i:
                 grad_w += r_acts[i].swapaxes(-1, -2) @ deltas[i]

@@ -65,9 +65,13 @@ def kink_free_batch(net, n, seed, margin=0.02):
     while len(rows) < n:
         x = rng.standard_normal((8 * n, net.input_dim))
         _, cache = forward(net, x)
-        pres = list(cache.trunk_pre)
-        for t in range(net.num_tasks):
-            pres.extend(pre[t] for pre in cache.heads_pre[:-1])
+        # Each hidden pre-activation, from its cached input as forward computes it.
+        pres = [
+            a @ layer.weights + layer.bias[..., None, :]
+            for layer, a in zip(net.shared_layers, cache.trunk_act)
+        ]
+        for layer, a in zip(net.head_layers[:-1], cache.heads_act):
+            pres.extend(a @ layer.weights + layer.bias[..., None, :])  # one (n, width) per task
         clear = np.ones(x.shape[0], dtype=bool)
         for z in pres:
             clear &= np.min(np.abs(z), axis=1) > margin

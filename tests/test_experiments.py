@@ -488,8 +488,8 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
         probe = net.copy()
         probe.set_theta(theta)
         cache = forward(probe, x)[1]
-        heads = (pre[t] for t in range(probe.num_tasks) for pre in cache.heads_pre[:-1])
-        return [z > 0.0 for z in [*cache.trunk_pre, *heads]]
+        heads = (out[t] for t in range(probe.num_tasks) for out in cache.heads_act[1:-1])
+        return [out > 0.0 for out in [*cache.trunk_act[1:], *heads]]
 
     labels = []
 
@@ -498,7 +498,7 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
         backward(net, cache, y, **outputs)
 
     def central_difference_trunk_hvp(net, cache, deltas):
-        x, y = cache.features, labels[-1]
+        x, y = cache.trunk_act[0], labels[-1]
         grad_fns = [theta_grad_fn(net, x, y[t], t) for t in range(net.num_tasks)]
 
         def hvp(V):

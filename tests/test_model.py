@@ -29,7 +29,7 @@ from cograd import (
     trunk_activations,
     trunk_hvp,
 )
-from cograd.model import _row_blocks, sigmoid
+from cograd.model import _row_blocks, heads_forward, sigmoid
 
 
 def small_net(seed=0):
@@ -41,6 +41,17 @@ def batch(n, dim, seed=0):
     return rng.standard_normal((n, dim)), (rng.uniform(size=n) < 0.5).astype(np.float64)
 
 
+def pre_activations(net, cache):
+    """Each hidden layer's pre-activation, recomputed from its cached input by
+    forward's own expression: the (n, width) trunk ones and the (T, n, width)
+    head ones."""
+
+    def pres(layers, acts):
+        return [a @ layer.weights + layer.bias[..., None, :] for layer, a in zip(layers, acts)]
+
+    return pres(net.shared_layers, cache.trunk_act), pres(net.head_layers[:-1], cache.heads_act)
+
+
 def kink_free_batch(net, n, seed, margin=0.02):
     # Finite differences are only trustworthy away from relu kinks: keep rows
     # whose every hidden pre-activation clears the probe radius by a margin.
@@ -49,9 +60,9 @@ def kink_free_batch(net, n, seed, margin=0.02):
     while len(rows) < n:
         x = rng.standard_normal((8 * n, net.input_dim))
         _, cache = forward(net, x)
-        hidden_pres = list(cache.trunk_pre)
-        for t in range(net.num_tasks):
-            hidden_pres.extend(pre[t] for pre in cache.heads_pre[:-1])  # output layer is identity
+        hidden_pres, head_pres = pre_activations(net, cache)
+        for stacked in head_pres:
+            hidden_pres.extend(stacked)  # one (n, width) array per task
         clear = np.ones(x.shape[0], dtype=bool)
         for z in hidden_pres:
             clear &= np.min(np.abs(z), axis=1) > margin
@@ -183,10 +194,10 @@ def deep_net(seed, shared_widths=(8, 6, 4), head_widths=(4, 3), num_tasks=2):
         buffer *= 3.0
     x = np.random.default_rng(seed).standard_normal((256, 8))
     for i, layer in enumerate(net.shared_layers):
-        layer.bias[...] -= np.median(forward(net, x)[1].trunk_pre[i], axis=0)
+        layer.bias[...] -= np.median(pre_activations(net, forward(net, x)[1])[0][i], axis=0)
     for t, head in enumerate(net.task_heads):
         for i, layer in enumerate(head[:-1]):
-            layer.bias[...] -= np.median(forward(net, x)[1].heads_pre[i][t], axis=0)
+            layer.bias[...] -= np.median(pre_activations(net, forward(net, x)[1])[1][i][t], axis=0)
     return net
 
 
@@ -248,10 +259,75 @@ def test_backward_other_heads_untouched():
 
 def test_backward_stale_cache_rejected():
     net = small_net()
-    other = init_net(8, [16], [4], 2, seed=0)
-    _, cache = forward(other, batch(4, 8)[0])
-    with pytest.raises(DimensionError):
-        backward_task(net, cache, np.zeros(4), 0)
+    x = batch(4, 8)[0]
+    shallower = forward(init_net(8, [16], [4], 2, seed=0), x)[1]
+    with pytest.raises(DimensionError, match="^stale cache: layer count mismatch$"):
+        backward_task(net, shallower, np.zeros(4), 0)
+    more_tasks = forward(init_net(8, [16, 8], [4], 3, seed=0), x)[1]
+    with pytest.raises(DimensionError, match="^stale cache: task count or batch size mismatch$"):
+        backward_task(net, more_tasks, np.zeros(4), 0)
+    with pytest.raises(DimensionError, match="^5 labels for batch of 4$"):
+        backward_task(net, forward(net, x)[1], np.zeros(5), 0)
+
+
+def test_relu_slope_at_an_exact_zero_is_zero():
+    # Trunk unit 1 of the last shared layer and head unit 1 of the hidden head
+    # layer have zero incoming weights and bias, so their pre-activation is
+    # exactly 0 on every row. Taking the slope there as 0 zeroes both units'
+    # incoming weight and bias gradients, and the trunk unit's entries of the
+    # exact Hessian-vector product, though their outgoing weights are not zero.
+    # The other units' biases keep them active, so their entries are not zero.
+    rng = np.random.default_rng(7)
+    shared = [
+        DenseLayer(rng.standard_normal((5, 4)), np.full(4, 3.0), "relu"),
+        DenseLayer(rng.standard_normal((4, 3)), [9.0, 0.0, 9.0], "relu"),
+    ]
+    shared[1].weights[:, 1] = 0.0
+    heads = []
+    for _ in range(2):
+        hidden = DenseLayer(rng.standard_normal((3, 2)), [40.0, 0.0], "relu")
+        hidden.weights[:, 1] = 0.0
+        heads.append([hidden, DenseLayer([[0.1], [1.0]], [0.0], "identity")])
+    net = SharedBottomNet(5, shared, heads)
+    x = rng.standard_normal((12, 5))
+    y = (rng.uniform(size=(2, 12)) < 0.5).astype(np.float64)
+    _, cache = forward(net, x)
+    grad_theta, grad_phi = np.empty((2, net.theta.size)), np.empty(net.phi.shape)
+    deltas = [None] * len(net.shared_layers)
+    backward(net, cache, y, grad_phi=grad_phi, grad_theta=grad_theta, deltas=deltas)
+    w, b = net._theta_slots[1]
+    hw, hb = net._phi_slots[0]
+    assert np.any(grad_theta[:, w].reshape(2, 4, 3)[:, :, [0, 2]] != 0.0)
+    assert np.all(grad_theta[:, w].reshape(2, 4, 3)[:, :, 1] == 0.0)
+    assert np.all(grad_theta[:, b][:, 1] == 0.0)
+    assert np.all(grad_phi[:, hw].reshape(2, 3, 2)[:, :, 1] == 0.0)
+    assert np.all(grad_phi[:, hb][:, 1] == 0.0)
+    product = trunk_hvp(net, cache, deltas)(rng.standard_normal((2, net.theta.size)))
+    assert np.any(product[:, w].reshape(2, 4, 3)[:, :, [0, 2]] != 0.0)
+    assert np.all(product[:, w].reshape(2, 4, 3)[:, :, 1] == 0.0)
+    assert np.all(product[:, b][:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("shared_widths", [[6, 4], []])
+def test_forward_writes_relu_outputs_only_into_their_own_layers(shared_widths):
+    # A relu output is written in place over its layer's fresh pre-activation:
+    # the caller's features and, in a heads-only pass, every trunk activation
+    # stay bitwise as they were, and the heads read the trunk's last output.
+    trunk = init_net(8, shared_widths, [4], 3, seed=1).shared_layers if shared_widths else []
+    width = shared_widths[-1] if shared_widths else 8
+    heads = init_net(8, [width], [4], 3, seed=2).task_heads
+    net = SharedBottomNet(8, trunk, heads)
+    x = batch(9, 8, seed=4)[0]
+    before = x.copy()
+    _, cache = forward(net, x)
+    assert np.array_equal(x, before)
+    assert cache.heads_act[0] is cache.trunk_act[-1]
+    trunk_before = [a.copy() for a in cache.trunk_act]
+    net.phi[...] += 0.5
+    _, again = heads_forward(net, cache)
+    assert all(map(np.array_equal, cache.trunk_act, trunk_before))
+    assert again.heads_act[0] is cache.trunk_act[-1]
+    assert np.array_equal(x, before)
 
 
 def test_theta_grad_fn_runs_its_own_head_only():

@@ -269,17 +269,23 @@ def _resolve_data(raw: dict, base_dir: Path) -> DataConfig:
     return DataConfig(None, path, has_group, n_tasks, proportions)
 
 
+def _layer_sizes(model: ModelConfig, n_features: int) -> dict[str, list[int]]:
+    """Float64 counts of the trunk's and one head's layers, by the field that sizes them."""
+    trunk = [n_features, *model.shared_widths]
+    stacks = {"model.shared_widths": trunk, "model.head_widths": [trunk[-1], *model.head_widths, 1]}
+    return {name: [(a + 1) * b for a, b in zip(w, w[1:])] for name, w in stacks.items()}
+
+
 def _check_sizes(cfg: ExperimentConfig, n_features: int) -> None:
     """Refuse, naming its field, a float64 array that numpy cannot address (one
     over ``np.iinfo(np.intp).max`` bytes): the synthetic features, the trunk or
     heads parameter buffer, and so any layer's weights, or the probe's bin edges."""
     synthetic, limit = cfg.data.synthetic, np.iinfo(np.intp).max
-    trunk = [n_features, *cfg.model.shared_widths]
-    head = [trunk[-1], *cfg.model.head_widths, 1]
+    layers = _layer_sizes(cfg.model, n_features)
     sizes = {
         "data.synthetic.n_samples": synthetic.n_samples * n_features if synthetic else 0,
-        "model.shared_widths": sum((a + 1) * b for a, b in zip(trunk, trunk[1:])),
-        "model.head_widths": cfg.data.n_tasks * sum((a + 1) * b for a, b in zip(head, head[1:])),
+        "model.shared_widths": sum(layers["model.shared_widths"]),
+        "model.head_widths": cfg.data.n_tasks * sum(layers["model.head_widths"]),
         "probe.n_bins": cfg.probe.n_bins + 1,
     }
     for name, size in sizes.items():
@@ -319,6 +325,9 @@ def resolve_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"strategies[{i}].{exc}") from None
     train = _section(raw["train"], "train", TrainConfig, _TRAIN_FIELDS, strategy=strategies[0])
+    weights = train.loss_weights
+    if isinstance(weights, tuple) and len(weights) != data.n_tasks:
+        raise ConfigError(f"train.loss_weights: {len(weights)} weights for {data.n_tasks} tasks")
 
     checkpoints: tuple[int, ...] = ()
     if "validate" in raw:
@@ -421,13 +430,8 @@ def _cell(
             seed=cfg.model.seed + seed,
         )
     except MemoryError:
-        trunk = [ds.n_features, *cfg.model.shared_widths]
-        head = [trunk[-1], *cfg.model.head_widths, 1]
-        size, name = max(
-            ((a + 1) * b, field)
-            for field, w in (("model.shared_widths", trunk), ("model.head_widths", head))
-            for a, b in zip(w, w[1:])
-        )
+        layers = _layer_sizes(cfg.model, ds.n_features)
+        size, name = max((max(sizes), name) for name, sizes in layers.items())
         raise ConfigError(
             f"{name}: a layer of {size} float64 values does not fit in memory"
         ) from None
@@ -546,51 +550,39 @@ def _default_checkpoints(steps: int) -> tuple[int, ...]:
 def run_validate_approx(cfg: ExperimentConfig) -> Path:
     """Compare the squared-gradient curvature surrogate against true HVPs.
 
-    Runs a short training with the first configured strategy and seed,
-    snapshots the net at the configured checkpoints, and for every ordered
-    task pair records: cosine and norm ratio between the exact HVP (the R-op
-    of ``trunk_hvp``) and the surrogate, plus the exact-vs-first-order
-    transference gap at gamma and gamma/2. Each snapshot takes one stacked
-    ``backward`` and T stacked products, one per source task. Returns the
-    report path.
+    Trains with the first configured strategy and seed, and analyses the live
+    net at each configured checkpoint, from ``train``'s step callback (step 0
+    before training). For every ordered task pair it records the cosine and
+    norm ratio between the exact HVP (``trunk_hvp``'s R-op) and the surrogate,
+    and the exact-vs-first-order transference gap at gamma and gamma/2, from
+    one stacked ``backward`` and T stacked products. The lookahead restores
+    ``net.theta``, so training goes on bitwise unchanged. Returns the report path.
     """
     checkpoints = cfg.validate_checkpoints or _default_checkpoints(cfg.train.steps)
     splits, net, train_cfg = _cell(cfg, 0, cfg.seeds[0])
     if train_cfg.eval_every:
         check_split_rankable(splits.val, "validation")
     _make_output_dir(cfg.output_dir)
-    snapshots: dict[int, SharedBottomNet] = {}
-    if 0 in checkpoints:
-        snapshots[0] = net.copy()
-    wanted = set(checkpoints)
-
-    def capture(step: int, live_net: SharedBottomNet) -> None:
-        if step in wanted:
-            snapshots[step] = live_net.copy()
-
-    train(net, splits, train_cfg, step_callback=capture)
-
-    n_tasks = net.num_tasks
-    strategy = train_cfg.strategy
+    n_tasks, strategy = net.num_tasks, train_cfg.strategy
     gammas = strategy.probe_gammas(n_tasks)
-    halves = [g / 2.0 for g in gammas]
     probe_batch = splits.train.take(slice(0, train_cfg.batch_size))
     x, y = probe_batch.features, probe_batch.labels.T.copy()  # (T, n): row t is task t's
+    wanted, rows = set(checkpoints), []
 
-    rows = []
-    for step in sorted(snapshots):
-        snap = snapshots[step]  # a private copy, so the lookahead may write into its trunk
-        logits, cache = forward(snap, x)
+    def analyse(step: int, net: SharedBottomNet) -> None:
+        if step not in wanted:
+            return
+        logits, cache = forward(net, x)
         losses = _bce(logits.T, y)
-        grads = np.empty((n_tasks, snap.theta.size))
-        deltas: list = [None] * len(snap.shared_layers)
-        backward(snap, cache, y, grad_theta=grads, deltas=deltas)
-        hvp = trunk_hvp(snap, cache, deltas)
+        grads = np.empty((n_tasks, net.theta.size))
+        deltas: list = [None] * len(net.shared_layers)
+        backward(net, cache, y, grad_theta=grads, deltas=deltas)
+        hvp = trunk_hvp(net, cache, deltas)
         # Row j of products[i] is H_j g_i: task i's gradient in every row.
         products = [hvp(np.broadcast_to(g, grads.shape)) for g in grads]
         for full, half in zip(
-            measure_transference(step, snap, x, y, losses, grads, gammas),
-            measure_transference(step, snap, x, y, losses, grads, halves),
+            measure_transference(step, net, x, y, losses, grads, gammas),
+            measure_transference(step, net, x, y, losses, grads, [g / 2.0 for g in gammas]),
         ):
             i, j = full.source_task, full.target_task
             exact = products[i][j]
@@ -605,6 +597,8 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
                 [step, i, j, cosine, ratio, full.gamma_used, gap_full, gap_half, gap_ratio]
             )
 
+    analyse(0, net)
+    train(net, splits, train_cfg, step_callback=analyse)
     report = cfg.output_dir / "validate_approx.csv"
     header = ["step", "source_task", "target_task", "hvp_cosine", "hvp_norm_ratio"]
     header += ["gamma", "gap_at_gamma", "gap_at_half_gamma", "gap_ratio"]

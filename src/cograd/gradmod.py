@@ -204,7 +204,7 @@ def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
     if len(G) == 1 or all(g == 0.0 for g in cfg.gammas):
         return G.copy()
     pull = (np.asarray(cfg.gammas) * (1.0 - np.eye(len(G)))) @ G
-    return G - cfg.lam * G * G * pull
+    return G - approx_hvp(G, pull, cfg.lam)
 
 
 def cograd_modify_exact_hvp(

@@ -26,7 +26,7 @@ fresh pre-activation.
 ``trunk_hvp`` takes every task's exact Hessian-vector product over the trunk
 from a forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi`` in place;
-``set_theta`` / ``set_phi`` write a whole vector after checking its length.
+``set_theta`` writes a whole trunk vector after checking its length.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ class SharedBottomNet:
     is head t. Each buffer (or row) holds its tensors ordered by name as
     strings (``shared.<i>.bias`` before ``shared.<i>.weight``, and
     ``shared.10.*`` before ``shared.2.*``), each row-major, as described by
-    ``theta_layout`` / ``phi_layouts[t]``. Every layer's ``weights`` and
-    ``bias`` are views into those buffers: ``task_heads[t][i]`` is head t's
-    layer i, and ``head_layers[i]`` is layer i of every head. The constructor
-    copies the values of the layers it is given, so a net never shares memory
-    with them.
+    ``theta_layout`` / ``phi_layout`` (one layout for every row). Every
+    layer's ``weights`` and ``bias`` are views into those buffers:
+    ``head_layers[i]`` is layer i of every head, and ``head(t)`` gives head
+    t's layers. The constructor copies the values of the layers it is given,
+    so a net never shares memory with them.
     """
 
     def __init__(
@@ -113,20 +113,20 @@ class SharedBottomNet:
         self.theta_layout, self._theta_slots, size = _layout("shared", shared_layers)
         self.theta = np.empty(size)
         self.shared_layers = _own(self.theta, self._theta_slots, shared_layers)
-        self.phi_layouts = [_layout(f"task{t}", head)[0] for t, head in enumerate(task_heads)]
-        _, self._phi_slots, size = _layout("task", task_heads[0])
+        self.phi_layout, self._phi_slots, size = _layout("task", task_heads[0])
         self.phi = np.empty((len(task_heads), size))
-        self.task_heads = [_own(row, self._phi_slots, h) for row, h in zip(self.phi, task_heads)]
+        for row, head in zip(self.phi, task_heads):
+            _own(row, self._phi_slots, head)
         self.head_layers = [
             StackedLayer(
                 self.phi[:, w].reshape(-1, *layer.weights.shape), self.phi[:, b], layer.activation
             )
-            for layer, (w, b) in zip(self.task_heads[0], self._phi_slots)
+            for layer, (w, b) in zip(task_heads[0], self._phi_slots)
         ]
 
     @property
     def num_tasks(self) -> int:
-        return len(self.task_heads)
+        return len(self.phi)
 
     @property
     def trunk_width(self) -> int:
@@ -136,17 +136,16 @@ class SharedBottomNet:
     def get_theta(self) -> ParamVector:
         return ParamVector(self.theta.copy(), self.theta_layout)
 
-    def get_phi(self, task: int) -> ParamVector:
-        return ParamVector(self.phi[task].copy(), self.phi_layouts[task])
-
     def set_theta(self, values: np.ndarray) -> None:
         self.theta[...] = ParamVector(values, self.theta_layout).values
 
-    def set_phi(self, task: int, values: np.ndarray) -> None:
-        self.phi[task][...] = ParamVector(values, self.phi_layouts[task]).values
+    def head(self, t: int) -> list[DenseLayer]:
+        """Head t's layers, as views into row t of ``phi``."""
+        return [DenseLayer(lay.weights[t], lay.bias[t], lay.activation) for lay in self.head_layers]
 
     def copy(self) -> "SharedBottomNet":
-        return SharedBottomNet(self.input_dim, self.shared_layers, self.task_heads)
+        heads = [self.head(t) for t in range(self.num_tasks)]
+        return SharedBottomNet(self.input_dim, self.shared_layers, heads)
 
 
 def _check_layers(
@@ -408,8 +407,8 @@ def backward_task(
     """Analytic gradients of one task's mean BCE loss.
 
     Returns (grad over shared trunk, grad over that task's head) in the net's
-    ``theta_layout`` / ``phi_layouts[task_id]``: row ``task_id`` of ``backward``
-    on ``labels`` in every row.
+    ``theta_layout`` / ``phi_layout``: row ``task_id`` of ``backward`` on
+    ``labels`` in every row.
     """
     if not 0 <= task_id < net.num_tasks:
         raise DimensionError(f"task_id {task_id} out of range")
@@ -426,7 +425,7 @@ def backward_task(
     backward(net, cache, np.broadcast_to(y, (net.num_tasks, n)), grad_phi, grad_theta)
     return (
         ParamVector(grad_theta[task_id], net.theta_layout),
-        ParamVector(grad_phi[task_id], net.phi_layouts[task_id]),
+        ParamVector(grad_phi[task_id], net.phi_layout),
     )
 
 
@@ -524,7 +523,7 @@ def _task_probe(
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != x.shape[0]:
         raise DimensionError(f"{y.size} labels for batch of {x.shape[0]}")
-    return SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[task]]), x, y
+    return SharedBottomNet(net.input_dim, net.shared_layers, [net.head(task)]), x, y
 
 
 def theta_loss_fn(
@@ -577,7 +576,7 @@ def save_net(net: SharedBottomNet, path: str | Path) -> None:
         "num_tasks": net.num_tasks,
         "theta_layout": _layout_list(net.theta_layout),
         "shared": [_layer_dict(layer) for layer in net.shared_layers],
-        "heads": [[_layer_dict(layer) for layer in head] for head in net.task_heads],
+        "heads": [[_layer_dict(layer) for layer in net.head(t)] for t in range(net.num_tasks)],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 

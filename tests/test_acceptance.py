@@ -100,12 +100,12 @@ def test_criterion_01_gradient_correctness():
 
             def phi_loss(v):
                 probe = net.copy()
-                probe.set_phi(t, v)
+                probe.phi[t] = v
                 logits, _ = forward(probe, x)
                 return task_loss(logits[:, t], y)
 
             fd_theta = finite_diff_gradient(theta_loss, net.get_theta().values, eps=1e-3)
-            fd_phi = finite_diff_gradient(phi_loss, net.get_phi(t).values, eps=1e-3)
+            fd_phi = finite_diff_gradient(phi_loss, net.phi[t], eps=1e-3)
             for fd, got in ((fd_theta, grad_theta.values), (fd_phi, grad_phi.values)):
                 rel = float(np.linalg.norm(fd - got) / np.linalg.norm(got))
                 worst = max(worst, rel)
@@ -247,9 +247,7 @@ def test_criterion_04_null_equivalence():
         nets["cograd"].get_theta().values, nets["sum"].get_theta().values
     )
     for t in range(2):
-        assert np.array_equal(
-            nets["cograd"].get_phi(t).values, nets["sum"].get_phi(t).values
-        )
+        assert np.array_equal(nets["cograd"].phi[t], nets["sum"].phi[t])
     report("04 null equivalence", "200 steps, theta and both phi bitwise equal")
 
 
@@ -310,7 +308,7 @@ def test_criterion_05_single_step_hand_trace():
     assert np.max(np.abs(got_trunk.weights - expected_W)) < 1e-10
     assert np.max(np.abs(got_trunk.bias - expected_b)) < 1e-10
     for t in range(2):
-        got_head = trained.task_heads[t][0]
+        got_head = trained.head(t)[0]
         assert abs(got_head.weights[0, 0] - new_w[t]) < 1e-10
         assert abs(got_head.bias[0] - new_c[t]) < 1e-10
     report("05 single-step hand trace", "theta and phi match within 1e-10")

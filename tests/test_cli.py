@@ -256,13 +256,57 @@ def test_config_argument_parses_its_csv_once(tmp_path, monkeypatch, command):
     assert calls == [tmp_path / "data.csv"]
 
 
-def test_malformed_csv_exits_2_before_the_output_directory_exists(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "mangle, problem",
+    [
+        (lambda text: text + "1,2\n", ":242: expected 8 fields, got 2"),
+        (lambda text: "", ": empty file, expected a header row"),
+        (lambda text: text.splitlines()[0] + "\n", ": no data rows"),
+        (lambda text: "f0,label0\n1.0,1\n", ": 2 columns cannot hold 2 labels and any feature"),
+    ],
+    ids=["short_row", "empty", "header_only", "too_few_columns"],
+)
+def test_malformed_csv_exits_2_before_the_output_directory_exists(
+    tmp_path, capsys, mangle, problem
+):
     config, _ = write_csv_config(tmp_path)
-    with open(tmp_path / "data.csv", "a", encoding="utf-8") as fh:
-        fh.write("1,2\n")
+    data = tmp_path / "data.csv"
+    data.write_text(mangle(data.read_text(encoding="utf-8")), encoding="utf-8")
     assert main(["train", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {tmp_path / 'data.csv'}:242: expected 8 fields, got 2\n"
+    assert capsys.readouterr().err == f"error: {data}{problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _config_in_a_list(raw):
+    return [raw]
+
+
+def _zero_csv_tasks(raw):
+    raw["data"]["csv"]["n_tasks"] = 0
+    return raw
+
+
+def _three_loss_weights(raw):
+    raw["train"]["loss_weights"] = [1.0, 1.0, 1.0]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "csv, mangle, message",
+    [
+        (True, _config_in_a_list, "config root must be a JSON object"),
+        (True, _zero_csv_tasks, "data.csv.n_tasks: must be at least 1"),
+        # The task count is the synthetic positive_rates' or data.csv.n_tasks.
+        (False, _three_loss_weights, "train.loss_weights: 3 weights for 2 tasks"),
+        (True, _three_loss_weights, "train.loss_weights: 3 weights for 2 tasks"),
+    ],
+    ids=["root_not_an_object", "zero_csv_tasks", "loss_weights", "csv_loss_weights"],
+)
+def test_malformed_config_exits_2_naming_it_before_any_run(tmp_path, capsys, csv, mangle, message):
+    config, raw = write_csv_config(tmp_path) if csv else write_config(tmp_path)
+    config.write_text(json.dumps(mangle(raw)))
+    assert main(["train", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -624,6 +668,9 @@ def _widen_head_1(ckpt):
         (lambda ckpt: ckpt.update(theta_layout=[]), "theta_layout does not match its layers"),
         (lambda ckpt: ckpt.pop("theta_layout"), "missing key 'theta_layout'"),
         (_widen_head_1, "heads[1] differs from heads[0]"),
+        (lambda ckpt: ckpt.update(format="cograd-checkpoint-v2"), "unrecognized checkpoint format"),
+        (lambda ckpt: ckpt["heads"][0][0].pop("bias"), "heads[0][0] is missing key 'bias'"),
+        (lambda ckpt: ckpt.update(heads=5), "malformed checkpoint"),
     ],
     ids=[
         "nan_weight",
@@ -636,6 +683,9 @@ def _widen_head_1(ckpt):
         "empty_theta_layout",
         "missing_theta_layout",
         "heads_differ",
+        "unknown_format",
+        "head_layer_missing_bias",
+        "heads_not_a_list",
     ],
 )
 def test_probe_malformed_checkpoint_exits_2_naming_it(tmp_path, capsys, mangle, named):

@@ -479,7 +479,7 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
     # Rerun with a stacked central-difference product in its place: where no
     # relu of the probe batch changes sign within the difference's step, the
     # two reports agree to 1e-6, and the transference gaps, which no product
-    # enters, bit for bit. At T = 3 each snapshot has six ordered pairs, so a
+    # enters, bit for bit. At T = 3 each checkpoint has six ordered pairs, so a
     # row taken from the wrong partner shows.
     from cograd import backward, experiments, finite_diff_hvp, forward, hvp_default_eps
     from cograd import theta_grad_fn
@@ -526,7 +526,7 @@ def test_validate_approx_hvp_cells_match_central_differences(tmp_path, monkeypat
 
 def test_validate_approx_takes_one_backward_and_t_products_per_snapshot(tmp_path, monkeypatch):
     # One stacked backward and one stacked product per source task, not one
-    # product per ordered pair: at T = 3, three products per snapshot, not six.
+    # product per ordered pair: at T = 3, three products per checkpoint, not six.
     # The product here is the surrogate itself, row j being g_j * g_j * V[j],
     # so each cell reads H_j g_i from row j of source i's product only if
     # every norm ratio is 1 and every cosine 1.
@@ -607,6 +607,7 @@ def test_run_probe_task_count_mismatch(tmp_path):
     ckpt, _ = checkpoint_and_csv(tmp_path)
     raw = base_config(strategies=[{"kind": "sum"}])
     raw["data"]["synthetic"]["positive_rates"] = [0.5, 0.5, 0.5]
+    raw["train"]["loss_weights"] = [1.0] * 3
     config_path = tmp_path / "cfg3.json"
     config_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="heads"):

@@ -279,8 +279,8 @@ def one_head_products(net, x, y):
     """Each task's trunk gradient and R-op from its own one-head net, stacked:
     task t's pass alone, with no other head in the stack."""
     grads, products = [], []
-    for t, head in enumerate(net.task_heads):
-        one = SharedBottomNet(net.input_dim, net.shared_layers, [head])
+    for t in range(net.num_tasks):
+        one = SharedBottomNet(net.input_dim, net.shared_layers, [net.head(t)])
         grad, hvp = stacked_products(one, x, y[:, t : t + 1])
         grads.append(grad[0])
         products.append(lambda v, hvp=hvp: hvp(v[None])[0])

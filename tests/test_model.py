@@ -76,20 +76,20 @@ def test_init_is_deterministic():
     a, b = small_net(5), small_net(5)
     assert np.array_equal(a.get_theta().values, b.get_theta().values)
     for t in range(2):
-        assert np.array_equal(a.get_phi(t).values, b.get_phi(t).values)
+        assert np.array_equal(a.phi[t], b.phi[t])
 
 
 def test_init_parameter_counts():
     net = small_net()
     # trunk 8*16+16 + 16*8+8, each head 8*4+4 + 4*1+1
     assert len(net.get_theta()) == 8 * 16 + 16 + 16 * 8 + 8 == 280
-    assert len(net.get_phi(0)) == 8 * 4 + 4 + 4 * 1 + 1 == 41
-    assert len(net.get_phi(1)) == 41
+    assert net.phi[0].size == 8 * 4 + 4 + 4 * 1 + 1 == 41
+    assert net.phi[1].size == 41
 
 
 def test_init_biases_zero_weights_in_fan_in_range():
     net = small_net()
-    for layer in net.shared_layers + [l for head in net.task_heads for l in head]:
+    for layer in net.shared_layers + [l for t in range(2) for l in net.head(t)]:
         assert np.array_equal(layer.bias, np.zeros(layer.fan_out))
         limit = 1.0 / np.sqrt(layer.fan_in)
         assert np.all(np.abs(layer.weights) <= limit)
@@ -104,7 +104,7 @@ def test_init_rejects_bad_widths():
 
 def test_forward_zero_net_gives_half_probabilities():
     net = small_net()
-    for layer in net.shared_layers + [l for head in net.task_heads for l in head]:
+    for layer in net.shared_layers + [l for t in range(2) for l in net.head(t)]:
         layer.weights[...] = 0.0
     x, _ = batch(6, 8)
     logits, _ = forward(net, x)
@@ -195,8 +195,8 @@ def deep_net(seed, shared_widths=(8, 6, 4), head_widths=(4, 3), num_tasks=2):
     x = np.random.default_rng(seed).standard_normal((256, 8))
     for i, layer in enumerate(net.shared_layers):
         layer.bias[...] -= np.median(pre_activations(net, forward(net, x)[1])[0][i], axis=0)
-    for t, head in enumerate(net.task_heads):
-        for i, layer in enumerate(head[:-1]):
+    for t in range(num_tasks):
+        for i, layer in enumerate(net.head(t)[:-1]):
             layer.bias[...] -= np.median(pre_activations(net, forward(net, x)[1])[1][i][t], axis=0)
     return net
 
@@ -220,12 +220,12 @@ def test_backward_matches_fd_on_theta_and_phi_10_seeds():
 
             def phi_loss(v):
                 probe = net.copy()
-                probe.set_phi(t, v)
+                probe.phi[t] = v
                 logits, _ = forward(probe, x)
                 return task_loss(logits[:, t], y)
 
             fd_theta = finite_diff_gradient(theta_loss, net.get_theta().values, eps=1e-3)
-            fd_phi = finite_diff_gradient(phi_loss, net.get_phi(t).values, eps=1e-3)
+            fd_phi = finite_diff_gradient(phi_loss, net.phi[t], eps=1e-3)
             assert np.linalg.norm(fd_theta - grad_theta.values) < 1e-4 * np.linalg.norm(
                 grad_theta.values
             )
@@ -238,8 +238,8 @@ def test_backward_zero_signal_when_labels_equal_probabilities():
     # sigma(0) = 0.5 labels make the output delta exactly zero, so every
     # gradient below it vanishes.
     net = small_net()
-    for head in net.task_heads:
-        head[-1].weights[...] = 0.0
+    for t in range(net.num_tasks):
+        net.head(t)[-1].weights[...] = 0.0
     x = batch(4, 8)[0]
     _, cache = forward(net, x)
     grad_theta, grad_phi = backward_task(net, cache, np.full(4, 0.5), 0)
@@ -252,8 +252,8 @@ def test_backward_other_heads_untouched():
     x, y = batch(5, 8, seed=9)
     _, cache = forward(net, x)
     grad_theta, grad_phi = backward_task(net, cache, y, 0)
-    assert [e.name for e in grad_phi.layout] == [e.name for e in net.get_phi(0).layout]
-    assert all(e.name.startswith("task0.") for e in grad_phi.layout)
+    assert grad_phi.layout == net.phi_layout and len(grad_phi) == net.phi.shape[1]
+    assert all(e.name.startswith("task.") for e in grad_phi.layout)
     assert all(e.name.startswith("shared.") for e in grad_theta.layout)
 
 
@@ -315,7 +315,7 @@ def test_forward_writes_relu_outputs_only_into_their_own_layers(shared_widths):
     # stay bitwise as they were, and the heads read the trunk's last output.
     trunk = init_net(8, shared_widths, [4], 3, seed=1).shared_layers if shared_widths else []
     width = shared_widths[-1] if shared_widths else 8
-    heads = init_net(8, [width], [4], 3, seed=2).task_heads
+    heads = [init_net(8, [width], [4], 3, seed=2).head(t) for t in range(3)]
     net = SharedBottomNet(8, trunk, heads)
     x = batch(9, 8, seed=4)[0]
     before = x.copy()
@@ -400,6 +400,19 @@ def test_trunk_hvp_is_symmetric_and_linear(shared_widths):
         assert np.array_equal(hvp(np.zeros(net.theta.size)), np.zeros(net.theta.size))
 
 
+def test_trunk_hvp_of_a_trunkless_net_is_empty():
+    # Features pass straight into the heads: there is no trunk parameter, and
+    # the product of every task is a (T, 0) array.
+    heads = [init_net(6, [8], [4], 2, seed=0).head(t) for t in range(2)]
+    net = SharedBottomNet(8, [], heads)
+    x, y = batch(5, 8, seed=3)
+    _, cache = forward(net, x)
+    deltas = []
+    backward(net, cache, np.stack([y, 1.0 - y]), deltas=deltas)
+    product = trunk_hvp(net, cache, deltas)(np.zeros((2, 0)))
+    assert product.shape == (2, 0) and net.theta.size == 0
+
+
 def test_theta_loss_fn_runs_its_own_head_only():
     # The loss of task t needs the trunk and head t alone: it equals the full
     # forward's bit for bit, and a non-finite logit of another head does not
@@ -453,8 +466,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_net(net, path)
     back = load_net(path)
     assert np.array_equal(back.get_theta().values, net.get_theta().values)
-    for t in range(2):
-        assert np.array_equal(back.get_phi(t).values, net.get_phi(t).values)
+    assert np.array_equal(back.phi, net.phi)
     x = batch(3, 8)[0]
     assert np.array_equal(forward(back, x)[0], forward(net, x)[0])
 
@@ -557,9 +569,9 @@ def test_phi_grad_layout_matches_phi():
     x, y = batch(5, 8, seed=9)
     logits, cache = forward(net, x)
     _, grad_phi = backward_task(net, cache, y, 1)
-    assert grad_phi.layout == net.get_phi(1).layout == net.phi_layouts[1]
+    assert grad_phi.layout == net.phi_layout
     names = [e.name for e in grad_phi.layout]
-    assert names == ["task1.0.bias", "task1.0.weight", "task1.1.bias", "task1.1.weight"]
+    assert names == ["task.0.bias", "task.0.weight", "task.1.bias", "task.1.weight"]
     # The output bias gradient, mean(sigmoid(z) - y), sits at its named slot.
     out_bias = grad_phi.layout[2]
     assert grad_phi.values[out_bias.offset] == pytest.approx(np.mean(expit(logits[:, 1]) - y))
@@ -571,7 +583,7 @@ def test_layout_sorts_names_as_strings_with_contiguous_offsets():
     order = sorted(range(11), key=str)  # 0, 1, 10, 2, ..., 9
     assert names == [f"shared.{i}.{part}" for i in order for part in ("bias", "weight")]
     assert names.index("shared.10.bias") < names.index("shared.2.bias")
-    for layout, buffer in [(net.theta_layout, net.theta)] + list(zip(net.phi_layouts, net.phi)):
+    for layout, buffer in [(net.theta_layout, net.theta), (net.phi_layout, net.phi[0])]:
         offset = 0
         for entry in layout:
             assert entry.offset == offset
@@ -585,23 +597,23 @@ def test_layer_tensors_are_views_into_the_flat_buffers():
     for layer in net.shared_layers:
         assert np.shares_memory(layer.weights, net.theta)
         assert np.shares_memory(layer.bias, net.theta)
-    for t, head in enumerate(net.task_heads):
-        for layer in head:
+    for t in range(2):
+        for layer in net.head(t):
             assert np.shares_memory(layer.weights, net.phi[t])
             assert np.shares_memory(layer.bias, net.phi[t])
             assert not np.shares_memory(layer.weights, net.phi[1 - t])
     # Each head layer is also one stacked view over every task's row.
-    assert net.phi.shape == (2, sum(entry.size for entry in net.phi_layouts[0]))
+    assert net.phi.shape == (2, sum(entry.size for entry in net.phi_layout))
     for i, stacked in enumerate(net.head_layers):
-        assert stacked.weights.shape == (2, *net.task_heads[0][i].weights.shape)
-        assert stacked.bias.shape == (2, net.task_heads[0][i].fan_out)
+        assert stacked.weights.shape == (2, *net.head(0)[i].weights.shape)
+        assert stacked.bias.shape == (2, net.head(0)[i].fan_out)
         assert np.shares_memory(stacked.weights, net.phi)
         assert np.shares_memory(stacked.bias, net.phi)
         for t in range(2):
-            assert np.array_equal(stacked.weights[t], net.task_heads[t][i].weights)
-            assert np.array_equal(stacked.bias[t], net.task_heads[t][i].bias)
+            assert np.array_equal(stacked.weights[t], net.head(t)[i].weights)
+            assert np.array_equal(stacked.bias[t], net.head(t)[i].bias)
     net.head_layers[0].weights[1] += 1.0
-    assert np.array_equal(net.head_layers[0].weights[1], net.task_heads[1][0].weights)
+    assert np.array_equal(net.head_layers[0].weights[1], net.head(1)[0].weights)
     # Each named slot of the buffer holds that layer's tensor, row-major.
     for entry in net.theta_layout:
         _, i, part = entry.name.split(".")
@@ -617,30 +629,25 @@ def test_layer_tensors_are_views_into_the_flat_buffers():
     assert not np.array_equal(forward(net, x)[0], before)
     with pytest.raises(LayoutError):
         net.set_theta(np.zeros(net.theta.size + 1))
-    with pytest.raises(LayoutError):
-        net.set_phi(0, np.zeros(1))
 
 
 def test_get_theta_returns_a_copy():
     net = small_net(2)
-    theta, phi = net.get_theta().values, net.get_phi(0).values
-    saved = net.theta.copy(), net.phi[0].copy()
+    theta, saved = net.get_theta().values, net.theta.copy()
     theta += 1.0
-    phi += 1.0
-    assert np.array_equal(net.theta, saved[0])
-    assert np.array_equal(net.phi[0], saved[1])
+    assert np.array_equal(net.theta, saved)
 
 
 def test_net_does_not_alias_caller_layers():
     trunk = [DenseLayer(np.ones((2, 3)), np.zeros(3), "relu")]
     head = [DenseLayer(np.ones((3, 1)), np.zeros(1), "identity")]
     net = SharedBottomNet(2, trunk, [head])
-    for layer in net.shared_layers + net.task_heads[0]:
+    for layer in net.shared_layers + net.head(0):
         for theirs in trunk + head:
             assert not np.shares_memory(layer.weights, theirs.weights)
             assert not np.shares_memory(layer.bias, theirs.bias)
     net.set_theta(np.full(net.theta.size, 5.0))
-    net.set_phi(0, np.full(net.phi[0].size, 5.0))
+    net.phi[0] = 5.0
     assert np.array_equal(trunk[0].weights, np.ones((2, 3)))
     assert np.array_equal(head[0].weights, np.ones((3, 1)))
 

@@ -117,7 +117,7 @@ def test_train_deterministic_across_runs():
     net_b, log_b = train(small_net(), splits, small_config(eval_every=4))
     assert np.array_equal(net_a.get_theta().values, net_b.get_theta().values)
     for t in range(2):
-        assert np.array_equal(net_a.get_phi(t).values, net_b.get_phi(t).values)
+        assert np.array_equal(net_a.phi[t], net_b.phi[t])
     assert [r.losses for r in log_a.steps] == [r.losses for r in log_b.steps]
     assert [r.values for r in log_a.evals] == [r.values for r in log_b.evals]
 
@@ -131,7 +131,7 @@ def test_one_config_trains_twice_bitwise(kind):
     net_b, _ = train(small_net(), splits, cfg)
     assert np.array_equal(net_a.get_theta().values, net_b.get_theta().values)
     for t in range(2):
-        assert np.array_equal(net_a.get_phi(t).values, net_b.get_phi(t).values)
+        assert np.array_equal(net_a.phi[t], net_b.phi[t])
 
 
 def test_null_strategies_match_sum_bitwise():
@@ -149,7 +149,7 @@ def test_null_strategies_match_sum_bitwise():
     for name in ("cograd", "exact"):
         assert np.array_equal(nets[name].get_theta().values, nets["sum"].get_theta().values)
         for t in range(2):
-            assert np.array_equal(nets[name].get_phi(t).values, nets["sum"].get_phi(t).values)
+            assert np.array_equal(nets[name].phi[t], nets["sum"].phi[t])
 
 
 def test_single_sgd_step_hand_trace():
@@ -177,7 +177,7 @@ def test_single_sgd_step_hand_trace():
     _, cache = forward(reference, x)
     for t in range(2):
         _, grad_phi = backward_task(reference, cache, y[:, t], t)
-        reference.set_phi(t, reference.get_phi(t).values - lr * (weights[t] * grad_phi.values))
+        reference.phi[t] = reference.phi[t] - lr * (weights[t] * grad_phi.values)
     logits, cache = forward(reference, x)
     agg = np.zeros(len(reference.get_theta()))
     expected_losses = []
@@ -189,7 +189,7 @@ def test_single_sgd_step_hand_trace():
 
     assert np.array_equal(trained.get_theta().values, reference.get_theta().values)
     for t in range(2):
-        assert np.array_equal(trained.get_phi(t).values, reference.get_phi(t).values)
+        assert np.array_equal(trained.phi[t], reference.phi[t])
     assert log.steps[0].losses == tuple(expected_losses)
 
 
@@ -206,8 +206,8 @@ def test_sum_step_matches_monolithic_adam_oracle():
     for t in range(2):
         _, grad_phi = backward_task(reference, cache, y[:, t], t)
         phi_state = AdamState.zeros(len(grad_phi.values))
-        reference.set_phi(
-            t, adam_step(reference.get_phi(t).values, grad_phi.values, phi_state, cfg.learning_rate)
+        reference.phi[t] = adam_step(
+            reference.phi[t], grad_phi.values, phi_state, cfg.learning_rate
         )
     _, cache = forward(reference, x)
     monolithic = np.zeros(len(reference.get_theta()))
@@ -231,8 +231,8 @@ def test_head_update_isolated_from_other_task():
     cfg = small_config(steps=1, batch_size=38, optimizer="sgd", shuffle=False)
     net_a, _ = train(small_net(), split(ds_a, (38, 1, 1)), cfg)
     net_b, _ = train(small_net(), split(ds_b, (38, 1, 1)), cfg)
-    assert np.array_equal(net_a.get_phi(1).values, net_b.get_phi(1).values)
-    assert not np.array_equal(net_a.get_phi(0).values, net_b.get_phi(0).values)
+    assert np.array_equal(net_a.phi[1], net_b.phi[1])
+    assert not np.array_equal(net_a.phi[0], net_b.phi[0])
 
 
 def test_train_builds_no_dataset_per_batch(monkeypatch):
@@ -391,7 +391,7 @@ def _two_forward_reference(net, splits, cfg, weights):
     losses, cosines, evals, transference = [], [], [], []
 
     def one_head_product(x, y, t):
-        one = SharedBottomNet(net.input_dim, net.shared_layers, [net.task_heads[t]])
+        one = SharedBottomNet(net.input_dim, net.shared_layers, [net.head(t)])
         _, cache = forward(one, x)
         deltas = [None] * len(one.shared_layers)
         backward(one, cache, y[None, :, t], deltas=deltas)
@@ -599,6 +599,21 @@ def test_exact_hvp_with_a_huge_gamma_raises_divergence_naming_the_step():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match="diverged at step 1"):
             train(small_net(), splits, cfg)
+
+
+def test_overflowing_logits_raise_divergence_naming_the_step_without_a_numpy_warning():
+    # Every parameter is finite, but the first forward pass overflows.
+    import warnings
+
+    splits = split(small_dataset(), (4, 1, 1))
+    net = small_net()
+    net.theta[...] = 1e200
+    net.phi[...] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as exc:
+            train(net, splits, small_config())
+    assert str(exc.value) == "training diverged at step 1: forward produced non-finite logits"
 
 
 @pytest.mark.parametrize("kind", ["cograd", "cograd_exact_hvp"])

@@ -6,11 +6,13 @@ seeds. Every (strategy x seed) run writes its own directory; a comparison
 table aggregates final test metrics across seeds with deltas against the
 plain-sum baseline.
 
-Per-seed derivation keeps comparisons paired: run seed s regenerates the
+Per-seed derivation keeps comparisons paired: run seed s draws the
 synthetic dataset with ``data seed + s``, initializes the net with
 ``model seed + s``, and drives batching with s itself, so every strategy
-sees identical data and initialization at the same s. A CSV is parsed
-once, when its config is resolved, and every run trains on those rows.
+sees identical data and initialization at the same s. A serial study draws
+and splits each seed's dataset once, runs every strategy on it, and drops
+it before the next seed's draw. A CSV is parsed once, when its config is
+resolved, and every run trains on those rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, EvaluationError, InputError
 from .gradmod import StrategyConfig, approx_hvp, measure_transference, pairwise_cosine
 from .model import (
     SharedBottomNet,
@@ -386,8 +388,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def build_dataset(data: DataConfig, run_seed: int) -> MultiTaskDataset:
-    """Dataset for one run; synthetic data is re-drawn per run seed, and a
-    CSV's dataset is the one parsed when its config was resolved."""
+    """Dataset of run seed ``run_seed``; synthetic data is drawn anew at each
+    call, and a CSV's dataset is the one parsed when its config was resolved."""
     if data.synthetic is not None:
         cfg = dataclasses.replace(data.synthetic, seed=data.synthetic.seed + run_seed)
         return generate_synthetic(cfg)
@@ -405,14 +407,11 @@ class RunResult:
     run_dir: Path
 
 
-def _cell(
-    cfg: ExperimentConfig, strategy_idx: int, seed: int
-) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
-    """The splits, initial net and training settings of one (strategy, seed) cell.
+def _seed_splits(cfg: ExperimentConfig, seed: int) -> DatasetSplits:
+    """The train/val/test splits of run seed ``seed``'s dataset.
 
-    A dataset or net that does not fit in memory raises ConfigError naming
-    the field that sizes it: for the net, the field of its largest layer,
-    which ``init_net`` allocates whole.
+    A synthetic dataset that does not fit in memory raises ConfigError
+    naming ``data.synthetic.n_samples``.
     """
     try:
         ds = build_dataset(cfg.data, seed)  # only a synthetic dataset is allocated here
@@ -421,28 +420,49 @@ def _cell(
         raise ConfigError(
             f"data.synthetic.n_samples: {size} float64 features do not fit in memory"
         ) from None
+    return split(ds, cfg.data.split)
+
+
+def _cell(
+    cfg: ExperimentConfig, strategy_idx: int, seed: int, splits: DatasetSplits | None = None
+) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
+    """The splits, initial net and training settings of one (strategy, seed) cell.
+
+    ``splits`` are the seed's splits, drawn here when none are given. A
+    dataset or net that does not fit in memory raises ConfigError naming the
+    field that sizes it: for the net, the field of its largest layer, which
+    ``init_net`` allocates whole.
+    """
+    if splits is None:
+        splits = _seed_splits(cfg, seed)
+    n_features = splits.train.n_features
     try:
         net = init_net(
-            input_dim=ds.n_features,
+            input_dim=n_features,
             shared_widths=list(cfg.model.shared_widths),
             head_widths=list(cfg.model.head_widths),
-            num_tasks=ds.n_tasks,
+            num_tasks=splits.train.n_tasks,
             seed=cfg.model.seed + seed,
         )
     except MemoryError:
-        layers = _layer_sizes(cfg.model, ds.n_features)
+        layers = _layer_sizes(cfg.model, n_features)
         size, name = max((max(sizes), name) for name, sizes in layers.items())
         raise ConfigError(
             f"{name}: a layer of {size} float64 values does not fit in memory"
         ) from None
     train_cfg = dataclasses.replace(cfg.train, strategy=cfg.strategies[strategy_idx], seed=seed)
-    return split(ds, cfg.data.split), net, train_cfg
+    return splits, net, train_cfg
 
 
-def run_one(cfg: ExperimentConfig, strategy_idx: int, seed: int) -> RunResult:
-    """Train one (strategy, seed) cell and write its artifacts under ``cfg.output_dir``."""
+def run_one(
+    cfg: ExperimentConfig, strategy_idx: int, seed: int, splits: DatasetSplits | None = None
+) -> RunResult:
+    """Train one (strategy, seed) cell and write its artifacts under ``cfg.output_dir``.
+
+    The run only reads ``splits``, its seed's splits; it draws its own if none are given.
+    """
     label = cfg.strategy_labels[strategy_idx]
-    splits, net, train_cfg = _cell(cfg, strategy_idx, seed)
+    splits, net, train_cfg = _cell(cfg, strategy_idx, seed, splits)
     check_split_rankable(splits.val, "validation")
     check_split_rankable(splits.test, "test")
     theta_params = net.theta.size
@@ -523,16 +543,24 @@ def _make_output_dir(path: Path) -> None:
 
 
 def run_study(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """All (strategy x seed) runs plus the top-level comparison table; with
-    ``jobs`` > 1, a process pool of at most one worker per cell runs them,
-    each worker receiving ``cfg``, CSV dataset included."""
+    """All (strategy x seed) runs, strategy by strategy in seed order, plus the
+    top-level comparison table. Serially, each seed's dataset is drawn once and
+    all its runs train on it; with ``jobs`` > 1, a process pool of at most one
+    worker per cell runs them, each worker receiving ``cfg``, CSV dataset
+    included, and drawing its own synthetic dataset."""
     _make_output_dir(cfg.output_dir)
-    cells = [(cfg, si, seed) for si in range(len(cfg.strategies)) for seed in cfg.seeds]
+    n_strategies = len(cfg.strategies)
     if jobs <= 1:
-        results = [run_one(*cell) for cell in cells]
+        by_seed = []
+        for seed in cfg.seeds:
+            splits = _seed_splits(cfg, seed)
+            by_seed.append([run_one(cfg, si, seed, splits) for si in range(n_strategies)])
+            del splits  # freed before the next seed's draw
+        results = [runs[si] for si in range(n_strategies) for runs in by_seed]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel study needs it
 
+        cells = [(cfg, si, seed) for si in range(n_strategies) for seed in cfg.seeds]
         # The pool starts all its workers at once, so more than one per cell would idle.
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             results = list(pool.map(run_one, *zip(*cells)))
@@ -597,8 +625,17 @@ def run_validate_approx(cfg: ExperimentConfig) -> Path:
                 [step, i, j, cosine, ratio, full.gamma_used, gap_full, gap_half, gap_ratio]
             )
 
-    analyse(0, net)
-    train(net, splits, train_cfg, step_callback=analyse)
+    def checkpoint(step: int, net: SharedBottomNet) -> None:
+        try:
+            analyse(step, net)
+        except EvaluationError as exc:
+            raise EvaluationError(f"validate-approx checkpoint {step}: {exc}") from exc
+
+    # As in ``train``, which runs the callback: a non-finite lookahead raises
+    # EvaluationError, and numpy's warnings would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        checkpoint(0, net)
+    train(net, splits, train_cfg, step_callback=checkpoint)
     report = cfg.output_dir / "validate_approx.csv"
     header = ["step", "source_task", "target_task", "hvp_cosine", "hvp_norm_ratio"]
     header += ["gamma", "gap_at_gamma", "gap_at_half_gamma", "gap_ratio"]

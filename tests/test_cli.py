@@ -410,6 +410,24 @@ def test_validate_approx_command(tmp_path, capsys):
     assert (tmp_path / "out" / "validate_approx.csv").exists()
 
 
+@pytest.mark.parametrize("checkpoints", [[0, 5], [5]])
+def test_validate_approx_lookahead_blow_up_exits_3_naming_the_checkpoint(
+    tmp_path, capsys, checkpoints
+):
+    # Gammas of 1e300 overflow the lookahead's forward pass at the first
+    # checkpoint, step 0 included, and numpy warns of nothing.
+    config, raw = write_config(tmp_path)
+    raw["model"]["shared_widths"] = [8, 8]
+    raw["strategies"] = [{"kind": "sum", "gammas": [1e300, 1e300]}]
+    raw["validate"] = {"checkpoints": checkpoints}
+    config.write_text(json.dumps(raw))
+    assert main(["validate-approx", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: validate-approx checkpoint {checkpoints[0]}: "
+        "forward produced non-finite logits\n"
+    )
+
+
 def test_validate_checkpoint_past_the_last_step_exits_2_naming_it(tmp_path, capsys):
     config, raw = write_config(tmp_path)  # 6 steps
     raw["validate"] = {"checkpoints": [3, 5000]}

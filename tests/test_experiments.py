@@ -652,10 +652,72 @@ def test_load_config_reports_bad_json(tmp_path):
 
 
 def test_parallel_jobs_match_serial(tmp_path):
+    # A serial study shares each seed's splits among its strategies, and each
+    # parallel worker draws its own; a run that wrote into the shared data
+    # would change the artifacts of the runs after it.
     cfg_serial = resolve(tmp_path, output_dir="serial", seeds=[0, 1])
     cfg_par = resolve(tmp_path, output_dir="par", seeds=[0, 1])
     run_study(cfg_serial, jobs=1)
     run_study(cfg_par, jobs=2)
-    a = (tmp_path / "serial" / "comparison.csv").read_text()
-    b = (tmp_path / "par" / "comparison.csv").read_text()
-    assert a == b
+
+    def artifacts(root):
+        files = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            name = str(path.relative_to(root))
+            if path.name == "summary.json":
+                summary = json.loads(path.read_text())
+                del summary["wall_time_s"], summary["config"]["output_dir"]
+                files[name] = summary
+            else:
+                files[name] = path.read_bytes()
+        return files
+
+    serial, par = artifacts(tmp_path / "serial"), artifacts(tmp_path / "par")
+    expected = {"comparison.csv"} | {
+        f"{label}/{seed}/{name}"
+        for label in ("sum", "cograd")
+        for seed in (0, 1)
+        for name in ("checkpoint.json", "metrics_steps.csv", "metrics_eval.csv", "summary.json")
+    }
+    assert set(serial) == expected
+    assert serial == par
+
+
+def test_serial_study_draws_each_seed_once(tmp_path, monkeypatch):
+    # Three strategies at two seeds: two draws, not six, and results still
+    # come strategy by strategy, each in seed order.
+    from cograd import experiments
+
+    drawn = []
+
+    def counting_build_dataset(data, run_seed):
+        drawn.append(run_seed)
+        return build_dataset(data, run_seed)
+
+    monkeypatch.setattr(experiments, "build_dataset", counting_build_dataset)
+    strategies = [{"kind": "sum"}, {"kind": "cograd", "gammas": [0.05, 0.05]}, {"kind": "pcgrad"}]
+    results = run_study(resolve(tmp_path, strategies=strategies, seeds=[3, 1]))
+    assert drawn == [3, 1]
+    assert [(r.strategy_label, r.seed) for r in results] == [
+        (label, seed) for label in ("sum", "cograd", "pcgrad") for seed in (3, 1)
+    ]
+
+
+def test_serial_study_holds_one_seed_dataset_at_a_time(tmp_path):
+    # 16,384 x 64 features are 8 MiB; holding a second seed's while the
+    # next is drawn would take the traced peak past 1.5 datasets.
+    import tracemalloc
+
+    raw = base_config(seeds=[0, 1])
+    raw["data"]["synthetic"].update(n_samples=16_384, n_features=64)
+    raw["train"].update(steps=2, batch_size=64)
+    cfg = resolve_config(raw, tmp_path)
+    dataset_bytes = build_dataset(cfg.data, 0).features.nbytes
+    assert dataset_bytes >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        run_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * dataset_bytes

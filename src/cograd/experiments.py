@@ -473,7 +473,10 @@ def run_one(
         raise DivergenceError(f"run {label}/seed {seed}: {exc}") from exc
     wall = time.perf_counter() - started
 
-    final_val = evaluate_split(net, splits.val, "validation")
+    if log.evals and log.evals[-1].step == train_cfg.steps:
+        final_val = log.evals[-1]  # the last step evaluated this net on this split
+    else:
+        final_val = evaluate_split(net, splits.val, "validation")
     final_test = evaluate_split(net, splits.test, "test")
 
     run_dir = cfg.output_dir / label / str(seed)

@@ -303,9 +303,9 @@ def pairwise_cosine(grads) -> np.ndarray:
     zero-norm operand are 0."""
     G = _matrix(grads)
     gram = G @ G.T
-    norms = np.sqrt(np.diag(gram))
-    denominators = np.outer(norms, norms)
-    return np.divide(gram, denominators, out=np.zeros_like(gram), where=denominators > 0.0)
+    norms = np.sqrt(gram.diagonal())
+    denominators = norms[:, None] * norms
+    return np.divide(gram, denominators, out=np.zeros(gram.shape), where=denominators > 0.0)
 
 
 def modify_gradients(

@@ -21,8 +21,8 @@ of 1,024 rows (``_row_blocks``), so evaluation and the probe hold one
 block's layers at a time; the dataset check and the CSV reader of
 ``tasks_data`` take the same blocks.
 A forward pass caches each layer's output and nothing else: a relu's slope
-is read off its output, and a relu output is written in place over its own
-fresh pre-activation.
+is read off its output. A layer's output (bias and relu included) and its
+delta are each written in place over their own fresh arrays.
 ``trunk_hvp`` takes every task's exact Hessian-vector product over the trunk
 from a forward pass's cache, by the R-op, with no finite differences.
 The trainer writes its updates into ``theta`` and ``phi`` in place;
@@ -275,12 +275,13 @@ def _stack_forward(
 ) -> list[np.ndarray]:
     """Run ``a`` through ``layers``; returns each layer's output, led by ``a``.
 
-    A relu output is written in place over the layer's fresh pre-activation,
-    so each layer allocates one array and ``a`` is never written.
+    The bias and the relu are applied in place over the layer's fresh matmul
+    output, so each layer allocates one array and ``a`` is never written.
     """
     acts = [a]
     for layer in layers:
-        a = a @ layer.weights + layer.bias[..., None, :]
+        a = a @ layer.weights
+        a += layer.bias[..., None, :]
         if layer.activation == "relu":
             np.maximum(a, 0.0, out=a)
         acts.append(a)
@@ -297,7 +298,7 @@ def heads_forward(net: SharedBottomNet, cache: ForwardCache) -> tuple[np.ndarray
     """Run every head on the cached trunk output; returns logits and a new cache."""
     acts = _stack_forward(net.head_layers, cache.trunk_act[-1])
     logits = acts[-1][..., 0].T  # the output layer is the identity
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise EvaluationError("forward produced non-finite logits")
     return logits, ForwardCache(cache.trunk_act, acts)
 
@@ -365,10 +366,12 @@ def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _masked(layer: DenseLayer | StackedLayer, out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x`` times ``layer``'s activation slope, read off its output ``out``:
-    a relu's slope is 1 where its output is positive and 0 elsewhere, the
-    slope at 0 taken as 0."""
-    return x * (out > 0.0) if layer.activation == "relu" else x
+    """``x``, which every caller has just made, times ``layer``'s activation slope
+    in place; the slope is read off the output ``out``: a relu's is 1 where its
+    output is positive and 0 elsewhere, the slope at 0 taken as 0."""
+    if layer.activation == "relu":
+        x *= out > 0.0
+    return x
 
 
 def _stack_backward(
@@ -392,7 +395,7 @@ def _stack_backward(
         if grad is not None:
             w, b = slots[i]
             grad[:, w] = (acts[i].swapaxes(-1, -2) @ delta).reshape(len(grad), -1)
-            grad[:, b] = delta.sum(axis=-2)
+            grad[:, b] = np.add.reduce(delta, axis=-2)
         if i > 0:
             delta = delta @ layers[i].weights.swapaxes(-1, -2)
     return delta
@@ -443,7 +446,9 @@ def backward(
     """
     layers = net.head_layers
     # Mean-reduced BCE with logits: dL/dz = (sigmoid(z) - y) / n.
-    delta = (sigmoid(cache.heads_act[-1]) - labels[..., None]) / labels.shape[-1]
+    delta = sigmoid(cache.heads_act[-1])
+    delta -= labels[..., None]
+    delta /= labels.shape[-1]
     delta = _stack_backward(layers, cache.heads_act, delta, net._phi_slots, grad_phi)
     if (grad_theta is not None or deltas is not None) and net.shared_layers:
         _stack_backward(  # head input gradient = trunk output gradient
@@ -494,7 +499,7 @@ def trunk_hvp(
             if i:
                 r_pre += r_acts[i] @ layer.weights
             r_acts.append(_masked(layer, acts[i + 1], r_pre))
-        r_logit = np.sum(r_acts[-1] * jac, axis=-1, keepdims=True)
+        r_logit = np.add.reduce(r_acts[-1] * jac, axis=-1, keepdims=True)
         r_delta = curvature * r_logit * jac  # R(dL/da) at the trunk output
         # Down the trunk: R(dL/dW_i) = a_i' R(delta_i) + R(a_i)' delta_i, and
         # R(delta) crosses a layer as R(delta_i) W_i' + delta_i dW_i'.
@@ -503,7 +508,7 @@ def trunk_hvp(
             r_delta = _masked(trunk[i], acts[i + 1], r_delta)
             w, b = slots[i]
             grad_w = acts[i].T @ r_delta
-            out[:, b] = r_delta.sum(axis=-2)
+            out[:, b] = np.add.reduce(r_delta, axis=-2)
             if i:
                 grad_w += r_acts[i].swapaxes(-1, -2) @ deltas[i]
                 r_delta = r_delta @ trunk[i].weights.T + deltas[i] @ tangents[i][0].swapaxes(-1, -2)

@@ -86,11 +86,16 @@ def adam_step(params, grad, state: AdamState, eta: float) -> np.ndarray:
             f"size mismatch: {p.size} params, {g.size} grads, {state.m.size} state"
         )
     state.step_count += 1
+    # New moment arrays: updated in place, a wide trunk's heap was re-faulted each step.
     state.m = _BETA1 * state.m + (1.0 - _BETA1) * g
     state.v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
-    m_hat = state.m / (1.0 - _BETA1**state.step_count)
-    v_hat = state.v / (1.0 - _BETA2**state.step_count)
-    return p - eta * m_hat / (np.sqrt(v_hat) + _EPS_HAT)
+    scale = state.v / (1.0 - _BETA2**state.step_count)
+    np.sqrt(scale, out=scale)
+    scale += _EPS_HAT
+    update = state.m / (1.0 - _BETA1**state.step_count)
+    update *= eta
+    update /= scale
+    return np.subtract(p, update, out=update)
 
 
 def sgd_step(params, grad, eta: float) -> np.ndarray:
@@ -197,10 +202,11 @@ def _optimizer_step(params, grad, state: AdamState | None, eta: float, step: int
     surface only at the next forward pass, or after training on the last step.
     """
     if state is None:
-        new, moments = sgd_step(params, grad, eta), ()
-    else:
-        new, moments = adam_step(params, grad, state, eta), (state.m, state.v)
-    if not all(np.isfinite(a).all() for a in (grad, *moments)):
+        new, finite = sgd_step(params, grad, eta), np.isfinite(grad).all()
+    else:  # a non-finite gradient leaves a non-finite first moment
+        new = adam_step(params, grad, state, eta)
+        finite = np.isfinite(state.m).all() and np.isfinite(state.v).all()
+    if not finite:
         raise DivergenceError(
             f"training diverged at step {step}: non-finite gradient or optimizer moment"
         )
@@ -281,16 +287,15 @@ def train(
             shuffle_seed = cfg.seed * 1_000_003 + epoch if cfg.shuffle else None
             for rows in batches(data.n_rows, cfg.batch_size, shuffle_seed):
                 step += 1
-                x = np.take(data.features, rows, axis=0)
-                y = np.take(data.labels, rows, axis=0).T.copy()  # (T, n): row t is task t's
+                x = data.features.take(rows, axis=0)
+                y = data.labels.take(rows, axis=0).T.copy()  # (T, n): row t is task t's
                 try:
                     # Phase 1: every head steps on its own task's weighted loss gradient.
                     _, cache = forward(net, x)
                     grad_heads = np.empty(net.phi.shape)
                     backward(net, cache, y, grad_phi=grad_heads)
-                    net.phi[...] = _optimizer_step(
-                        net.phi, weights[:, None] * grad_heads, heads_state, lr, step
-                    )
+                    grad_heads *= weights[:, None]
+                    net.phi[...] = _optimizer_step(net.phi, grad_heads, heads_state, lr, step)
 
                     # Phase 2: per-task trunk gradients at the updated heads (same trunk pass).
                     logits, cache = heads_forward(net, cache)
@@ -320,7 +325,7 @@ def train(
                     hvp_fns=hvp_fns,
                 )
 
-                aggregate = (weights[:, None] * modified).sum(axis=0)
+                aggregate = np.add.reduce(weights[:, None] * modified, axis=0)
                 net.theta[...] = _optimizer_step(net.theta, aggregate, theta_state, lr, step)
 
                 cosines = pairwise_cosine(raw_grads)

@@ -683,6 +683,37 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial == par
 
 
+@pytest.mark.parametrize(
+    "eval_every, validations", [(4, 2), (3, 3)], ids=["last-step-evaluated", "not-evaluated"]
+)
+def test_final_validation_reuses_the_last_steps_evaluation(
+    tmp_path, monkeypatch, eval_every, validations
+):
+    # When the last of 8 steps evaluated, that record is the final validation
+    # metric: one evaluate_split call fewer, and summary.json's final_val is
+    # the last metrics_eval.csv row, bit for bit.
+    from cograd import experiments, trainer
+
+    made = []
+    evaluate = trainer.evaluate_split
+
+    def counting(net, ds, split_name):
+        made.append(split_name)
+        return evaluate(net, ds, split_name)
+
+    monkeypatch.setattr(trainer, "evaluate_split", counting)
+    monkeypatch.setattr(experiments, "evaluate_split", counting)
+    raw = base_config(seeds=[0], strategies=[{"kind": "sum"}])
+    raw["train"]["eval_every"] = eval_every
+    run_dir = run_one(resolve_config(raw, tmp_path), 0, 0).run_dir
+    assert made == ["validation"] * validations + ["test"]
+    if eval_every == 4:
+        summary = json.loads((run_dir / "summary.json").read_text())
+        last = (run_dir / "metrics_eval.csv").read_text().splitlines()[-1].split(",")
+        assert last[:2] == ["8", "auc"]
+        assert [summary["final_val"][f"task_{t}"] for t in range(2)] == list(map(float, last[2:]))
+
+
 def test_serial_study_draws_each_seed_once(tmp_path, monkeypatch):
     # Three strategies at two seeds: two draws, not six, and results still
     # come strategy by strategy, each in seed order.

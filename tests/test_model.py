@@ -308,26 +308,43 @@ def test_relu_slope_at_an_exact_zero_is_zero():
     assert np.all(product[:, b][:, 1] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "operation", ["heads_forward", "backward_heads", "backward_trunk", "trunk_hvp"]
+)
 @pytest.mark.parametrize("shared_widths", [[6, 4], []])
-def test_forward_writes_relu_outputs_only_into_their_own_layers(shared_widths):
-    # A relu output is written in place over its layer's fresh pre-activation:
-    # the caller's features and, in a heads-only pass, every trunk activation
-    # stay bitwise as they were, and the heads read the trunk's last output.
+def test_forward_writes_relu_outputs_only_into_their_own_layers(shared_widths, operation):
+    # A layer's output and its delta are written in place over their own fresh
+    # arrays: the caller's features stay bitwise as they were, the heads read
+    # the trunk's last output, and a later heads-only pass, either backward
+    # phase or a curvature product leaves every cached activation, the
+    # labels, the direction V and the trunk deltas bitwise as they were.
     trunk = init_net(8, shared_widths, [4], 3, seed=1).shared_layers if shared_widths else []
     width = shared_widths[-1] if shared_widths else 8
     heads = [init_net(8, [width], [4], 3, seed=2).head(t) for t in range(3)]
     net = SharedBottomNet(8, trunk, heads)
     x = batch(9, 8, seed=4)[0]
+    y = (np.random.default_rng(5).uniform(size=(3, 9)) < 0.5).astype(np.float64)
     before = x.copy()
     _, cache = forward(net, x)
     assert np.array_equal(x, before)
     assert cache.heads_act[0] is cache.trunk_act[-1]
-    trunk_before = [a.copy() for a in cache.trunk_act]
-    net.phi[...] += 0.5
-    _, again = heads_forward(net, cache)
-    assert all(map(np.array_equal, cache.trunk_act, trunk_before))
-    assert again.heads_act[0] is cache.trunk_act[-1]
-    assert np.array_equal(x, before)
+    deltas = [None] * len(net.shared_layers)
+    V = np.random.default_rng(6).standard_normal((3, net.theta.size))
+    read = [x, y, V, *cache.trunk_act, *cache.heads_act]
+    kept = [a.copy() for a in read]
+    if operation == "heads_forward":
+        net.phi[...] += 0.5
+        _, again = heads_forward(net, cache)
+        assert again.heads_act[0] is cache.trunk_act[-1]
+    elif operation == "backward_heads":
+        backward(net, cache, y, grad_phi=np.empty(net.phi.shape))
+    elif operation == "backward_trunk":
+        backward(net, cache, y, grad_theta=np.empty((3, net.theta.size)), deltas=deltas)
+    else:
+        backward(net, cache, y, deltas=deltas)
+        read, kept = read + deltas, kept + [d.copy() for d in deltas]
+        trunk_hvp(net, cache, deltas)(V)
+    assert all(map(np.array_equal, read, kept))
 
 
 def test_theta_grad_fn_runs_its_own_head_only():

@@ -440,6 +440,23 @@ def test_split_parts_are_views_of_the_dataset():
     assert np.array_equal(parts.test.group_ids, ds.group_ids[250:])
 
 
+def test_split_runs_no_row_check(monkeypatch):
+    # A split's rows were checked when its dataset was built, so its parts
+    # are made without running the dataset check again; building a dataset
+    # still checks its rows.
+    ds = generate_synthetic(synth_cfg(n_samples=300))
+    checks = []
+    check = MultiTaskDataset.__post_init__
+    monkeypatch.setattr(MultiTaskDataset, "__post_init__", lambda self: checks.append(check(self)))
+    parts = split(ds, (4, 1, 1))
+    assert checks == []
+    assert all(type(part) is MultiTaskDataset for part in (parts.train, parts.val, parts.test))
+    features = parts.val.features.copy()
+    features[12, 1] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        MultiTaskDataset(features, parts.val.labels)
+
+
 def test_split_rejects_empty_part():
     ds = generate_synthetic(synth_cfg(n_samples=50))
     with pytest.raises(ConfigError):

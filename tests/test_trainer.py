@@ -91,6 +91,23 @@ def test_adam_matches_reference_implementation():
         assert np.allclose(params, ref, atol=1e-14)
 
 
+def test_adam_step_reads_its_inputs_and_advances_its_state():
+    # The update is a new array: params and grad keep their bits, while the
+    # state's count and moments advance. Array-likes give the same update.
+    rng = np.random.default_rng(1)
+    params, grad = rng.standard_normal(5), rng.standard_normal(5)
+    kept = params.copy(), grad.copy()
+    state = AdamState.zeros(5)
+    new = adam_step(params, grad, state, 0.1)
+    assert np.array_equal(params, kept[0]) and np.array_equal(grad, kept[1])
+    assert not np.shares_memory(new, params) and not np.shares_memory(new, grad)
+    assert state.step_count == 1
+    assert np.array_equal(state.m, (1.0 - 0.9) * grad)
+    assert np.array_equal(state.v, (1.0 - 0.999) * grad * grad)
+    again = adam_step(params.tolist(), grad.tolist(), AdamState.zeros(5), 0.1)
+    assert np.array_equal(again, new)
+
+
 def test_sgd_step_exact():
     got = sgd_step(np.array([1.0, 2.0]), np.array([10.0, -4.0]), 0.1)
     assert np.array_equal(got, np.array([0.0, 2.4]))

@@ -15,7 +15,7 @@ report is to make that approximation error visible instead of hiding it.
 
 from pathlib import Path
 
-from cograd import load_config, run_validate_approx
+from cograd import resolve_config, run_validate_approx
 
 CONFIG = {
     "data": {
@@ -41,13 +41,7 @@ CONFIG = {
 
 
 def main():
-    import json
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(CONFIG, fh)
-        path = fh.name
-    report = run_validate_approx(load_config(path))
+    report = run_validate_approx(resolve_config(CONFIG, Path(__file__).parent))
     print(f"report written to {report}\n")
 
     lines = Path(report).read_text().strip().splitlines()

@@ -6,11 +6,11 @@ parameters. ``transfer_exact`` is the definition; ``measure_transference``
 takes every ordered pair of a step on the live net, in T forward passes.
 
 - ``cograd_modify``: descend each task's loss while pushing transference up,
-  using the squared-gradient curvature surrogate H_i v ~ lam * g_i (.) g_i (.) v.
-- ``cograd_modify_exact_hvp``: the same correction with true Hessian-vector
-  products, taken by one stacked product of every task at once (training
-  passes ``model.trunk_hvp``'s R-op); central differences of gradient
-  functions remain only as an adapter in ``modify_gradients``.
+  g_i - H_i (sum_{j!=i} gamma_j g_j), with one stacked curvature product a
+  step: the squared-gradient surrogate H_i v ~ lam * g_i (.) g_i (.) v by
+  default, or true Hessian-vector products (training passes
+  ``model.trunk_hvp``'s R-op); central differences of gradient functions
+  remain only as an adapter in ``modify_gradients``.
 - ``pcgrad_modify``: project conflicting gradients onto partner normal planes.
 - ``magnitude_balance``: scale gradients toward the anchor task's moving norm.
 
@@ -190,12 +190,17 @@ def approx_hvp(g_owner, direction, lam: float = 1.0) -> np.ndarray:
     return lam * go * go * d
 
 
-def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
-    """Transference-raising modification g_i - sum_{j!=i} gamma_j*lam*g_i(.)g_i(.)g_j.
+def cograd_modify(
+    grads, cfg: StrategyConfig, hvp: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
+    """Transference-raising modification g_i - sum_{j!=i} gamma_j * H_i g_j.
 
     All rows come from the original gradients simultaneously, as
-    G - lam*G(.)G(.)(W @ G) with W = gamma (.) (1 - I). With every gamma
-    zero, or a single task, the output is a bitwise copy of the input.
+    G - H(W @ G) with W = gamma (.) (1 - I): one stacked product ``hvp``,
+    mapping a (T, P) array V to the (T, P) array whose row i is H_i V[i]
+    (such as ``model.trunk_hvp``'s), or by default the surrogate
+    lam*G(.)G(.)V. The product must be linear in V. With every gamma zero,
+    or a single task, the output is a bitwise copy of the input.
     """
     G = _matrix(grads)
     cfg.check_tasks(len(G))
@@ -204,34 +209,7 @@ def cograd_modify(grads, cfg: StrategyConfig) -> np.ndarray:
     if len(G) == 1 or all(g == 0.0 for g in cfg.gammas):
         return G.copy()
     pull = (np.asarray(cfg.gammas) * (1.0 - np.eye(len(G)))) @ G
-    return G - approx_hvp(G, pull, cfg.lam)
-
-
-def cograd_modify_exact_hvp(
-    grads, hvp_fns: Callable[[np.ndarray], np.ndarray], cfg: StrategyConfig
-) -> np.ndarray:
-    """Reference variant with true curvature: g_i - sum_{j!=i} gamma_j * H_i g_j.
-
-    H_i is task i's Hessian over the shared parameters. ``hvp_fns`` is one
-    stacked product, mapping a (T, P) array V to the (T, P) array whose row i
-    is H_i V[i], such as ``model.trunk_hvp``'s. Each row subtracts its
-    partners' terms in ascending j, one stacked product per round, and each
-    ordered task pair takes its own product of the unscaled partner gradient,
-    so the correction is linear in gamma even for a product that is not
-    linear in its direction.
-    """
-    G = _matrix(grads)
-    cfg.check_tasks(len(G))
-    out = G.copy()
-    tasks = np.arange(len(G))
-    gammas = np.asarray(cfg.gammas)
-    for k in range(len(G) - 1):
-        partners = np.where(tasks > k, k, k + 1)  # row i's k-th partner j != i, counting up
-        scales = gammas[partners]
-        live = scales != 0.0
-        if live.any():
-            out[live] -= (scales[:, None] * hvp_fns(G[partners]))[live]
-    return out
+    return G - (approx_hvp(G, pull, cfg.lam) if hvp is None else hvp(pull))
 
 
 def pcgrad_modify(
@@ -321,10 +299,11 @@ def modify_gradients(
 
     ``order_seed`` feeds pcgrad's traversal; ``moving_norms`` (the run's
     state, updated in place) is required by magnitude balancing only. The
-    exact-HVP variant needs ``hvp_fns``, one stacked Hessian-vector product
-    (see ``cograd_modify_exact_hvp``), or else ``grad_fns`` and ``theta``, one
-    trunk gradient function per task and the point, whose products it takes
-    by central differences.
+    exact-HVP variant is ``cograd_modify`` with ``hvp_fns``, one stacked
+    Hessian-vector product, or else ``grad_fns`` and ``theta``, one trunk
+    gradient function per task and the point, whose products it takes by
+    central differences along each unit direction, scaled back by the
+    direction's norm so that they are positively homogeneous.
     """
     if cfg.kind == "sum":
         return _matrix(grads).copy()
@@ -337,11 +316,16 @@ def modify_gradients(
                 raise DimensionError(f"{len(grads)} gradients but {len(grad_fns)} functions")
 
             def hvp_fns(V: np.ndarray) -> np.ndarray:
-                return np.array([finite_diff_hvp(f, theta, v) for f, v in zip(grad_fns, V)])
+                out = np.zeros(V.shape)
+                for f, v, row in zip(grad_fns, V, out):
+                    n = np.linalg.norm(v)
+                    if n > 0.0:
+                        row[...] = n * finite_diff_hvp(f, theta, v / n)
+                return out
 
         if hvp_fns is None:
             raise ConfigError("cograd_exact_hvp needs hvp_fns, or grad_fns and theta")
-        return cograd_modify_exact_hvp(grads, hvp_fns, cfg)
+        return cograd_modify(grads, cfg, hvp_fns)
     if cfg.kind == "pcgrad":
         return pcgrad_modify(grads, order_seed=order_seed)
     if cfg.kind == "magnitude_balance":

@@ -80,8 +80,9 @@ class MultiTaskDataset:
 class SyntheticTaskConfig:
     """Controls for the correlated-task generator.
 
-    ``task_angle_deg`` is the angle between task weight vectors: 0 makes the
-    tasks share a decision direction, 90 makes them orthogonal.
+    ``task_angle_deg`` is the angle between task weight vectors, in [0, 180]:
+    0 makes the tasks share a decision direction, 90 makes them orthogonal,
+    and past 90 the tasks load on e0 with opposite signs, so they conflict.
     """
 
     n_samples: int
@@ -102,8 +103,8 @@ class SyntheticTaskConfig:
                 "n_features must be at least max(2, number of tasks) "
                 "to host the rotated weight vectors"
             )
-        if not 0.0 <= self.task_angle_deg <= 90.0:
-            raise ConfigError("task_angle_deg must lie in [0, 90]")
+        if not 0.0 <= self.task_angle_deg <= 180.0:
+            raise ConfigError("task_angle_deg must lie in [0, 180]")
         if any(not 0.0 < r < 1.0 for r in self.positive_rates):
             raise ConfigError("positive_rates must lie strictly in (0, 1)")
         if not 0.0 <= self.label_noise < 0.5:

@@ -12,7 +12,7 @@ over a leading task axis:
    shared parameters into row t of one (T, P) array,
 3. pass that array through the configured gradient strategy, which returns
    the modified gradients as another (T, P) array; exact-HVP coordination
-   takes every task's R-op product in one stacked call per partner round,
+   takes every task's R-op product in one stacked call,
 4. apply one optimizer step to the trunk on the weighted sum of its rows.
 
 Head updates never see the strategy: gradient coordination acts on shared
@@ -481,12 +481,18 @@ def probe_harmonization(
 
     diffs = importances[0] - importances[1]
     hw = cfg.bin_halfwidth
-    edges = np.linspace(-hw, hw, cfg.n_bins + 1)
-    counts, _ = np.histogram(np.clip(diffs, -hw, hw), edges)
+    try:
+        edges = np.linspace(-hw, hw, cfg.n_bins + 1)
+        counts, _ = np.histogram(np.clip(diffs, -hw, hw), edges)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+    except MemoryError:
+        raise ConfigError(
+            f"probe.n_bins: {cfg.n_bins + 1} float64 bin edges do not fit in memory"
+        ) from None
     return ProbeResult(
         diffs=diffs,
         importances=np.stack(importances),
-        bin_centers=(edges[:-1] + edges[1:]) / 2.0,
+        bin_centers=centers,
         counts=counts,
         general_share=float(np.mean(np.abs(diffs) < cfg.band)),
         iters_used=(iters[0], iters[1]),

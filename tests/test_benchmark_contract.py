@@ -3,15 +3,17 @@
 Runs one round of the ``study`` and ``grouped_csv`` workloads in-process
 through ``benchmark/workloads.py`` (build the workload, run its operations,
 check the round), one ``study`` round under the span tracer of the traced
-run, and checks that rebinding ``cograd.experiments.train`` intercepts
-``run_one``, as the benchmark's step clock does. Nothing under
-``benchmark/`` is changed.
+run, checks that rebinding ``cograd.experiments.train`` intercepts
+``run_one``, as the benchmark's step clock does, and that the exact-HVP
+products ``grouped_csv``'s one-off check takes scale with gamma. Nothing
+under ``benchmark/`` is changed.
 """
 
 import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cograd
@@ -94,3 +96,31 @@ def test_rebinding_experiments_train_intercepts_run_one(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "train", stamped_train)
     run_one(cfg, 0, 0)
     assert seen == [(5, 40, 160, [1, 2, 3, 4, 5])]
+
+
+@pytest.mark.parametrize("seed", [1, 71])
+def test_grouped_csv_check_once_products_are_positively_homogeneous(
+    tmp_path, workloads, monkeypatch, seed
+):
+    # check_once takes the exact-HVP correction at gamma and 2 * gamma through
+    # modify_gradients' central-difference adapter, on a trained checkpoint's
+    # first batch; the adapter's products at 2 * gamma are twice those at
+    # gamma, bit for bit, and check_once's own linearity check passes.
+    from cograd import gradmod
+
+    workload = workloads.WORKLOADS["grouped_csv"](seed, tmp_path / "inputs")
+    out = tmp_path / "round"
+    assert dict((name, op) for name, _, op in workload.operations(out))["train"]()
+    products, real = [], gradmod.cograd_modify
+
+    def recording(grads, cfg, hvp=None):
+        def product(V):
+            products.append(hvp(V))
+            return products[-1]
+
+        return real(grads, cfg, product)
+
+    monkeypatch.setattr(gradmod, "cograd_modify", recording)
+    workload.check_once(out)  # raises CheckFailed unless linear in gamma to 1e-9
+    one, two = products
+    assert one.any() and np.array_equal(two, 2.0 * one)

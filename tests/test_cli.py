@@ -516,6 +516,19 @@ def test_probe_bins_numpy_cannot_address_exit_2_naming_them(tmp_path, capsys, n_
     assert f"probe.n_bins: {n_bins + 1} float64 values exceed numpy's" in capsys.readouterr().err
 
 
+def test_probe_bins_the_machine_cannot_allocate_exit_2_naming_them(tmp_path, capsys):
+    # 2**55 + 1 edges pass numpy's address limit, but their 256 PiB lie past
+    # any user address space: the allocation fails at once, touching no memory.
+    ckpt, _, config = probe_fixtures(tmp_path)
+    raw = json.loads(config.read_text())
+    raw["probe"] = {"n_bins": 2**55}
+    config.write_text(json.dumps(raw))
+    assert main(["probe", str(ckpt), str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"probe.n_bins: {2**55 + 1} float64 bin edges do not fit in memory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "section, key, value, named",
     [

@@ -16,7 +16,6 @@ from cograd import (
     backward,
     backward_task,
     cograd_modify,
-    cograd_modify_exact_hvp,
     finite_diff_gradient,
     finite_diff_hvp,
     forward,
@@ -225,14 +224,14 @@ def test_cograd_exact_hvp_identity_hessian():
     # plain weighted partner subtraction.
     g1 = np.array([1.0, 0.0, 2.0])
     g2 = np.array([0.5, 1.0, -1.0])
-    out = cograd_modify_exact_hvp([g1, g2], lambda V: V, cfg(gammas=(0.2, 0.1)))
+    out = cograd_modify([g1, g2], cfg(gammas=(0.2, 0.1)), lambda V: V)
     assert np.allclose(out[0], g1 - 0.1 * g2, atol=1e-9)
     assert np.allclose(out[1], g2 - 0.2 * g1, atol=1e-9)
 
 
 def test_cograd_exact_hvp_zero_gamma_identity():
     g = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    out = cograd_modify_exact_hvp(g, lambda V: V, cfg(gammas=(0.0, 0.0)))
+    out = cograd_modify(g, cfg(gammas=(0.0, 0.0)), lambda V: V)
     assert np.array_equal(out[0], g[0]) and np.array_equal(out[1], g[1])
 
 
@@ -245,7 +244,7 @@ def test_cograd_exact_hvp_matches_surrogate_on_constructed_case():
     g = h * theta
     grads = [g.copy(), g.copy()]
     strategy = cfg(gammas=(0.3, 0.1))
-    exact = cograd_modify_exact_hvp(grads, lambda V: h * V, strategy)
+    exact = cograd_modify(grads, strategy, lambda V: h * V)
     surrogate = cograd_modify(grads, strategy)
     for a, b in zip(exact, surrogate):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-6
@@ -260,7 +259,7 @@ def test_cograd_exact_hvp_on_a_wide_trunk_is_linear_in_gamma():
     y = (rng.uniform(size=(64, 2)) < 0.5).astype(float)
     grads, hvp = stacked_products(net, x, y)
     assert net.theta.size == 24_768
-    one, two = (cograd_modify_exact_hvp(grads, hvp, cfg(gammas=(g, 0.5 * g))) for g in (0.1, 0.2))
+    one, two = (cograd_modify(grads, cfg(gammas=(g, 0.5 * g)), hvp) for g in (0.1, 0.2))
     for g, a, b in zip(grads, one, two):
         assert np.linalg.norm(g - a) > 0.0
         np.testing.assert_allclose(g - b, 2.0 * (g - a), rtol=1e-9, atol=1e-14)
@@ -289,9 +288,9 @@ def one_head_products(net, x, y):
 
 @pytest.mark.parametrize("gammas", [(0.05, 0.02, 0.1), (0.05, 0.0, 0.1), (0.0, 0.0, 0.0)])
 def test_stacked_products_match_per_task_products_bitwise(gammas):
-    # Training passes one stacked R-op for every task; each row subtracts its
-    # partners in ascending j, so it equals T one-head nets' products bit for
-    # bit at T = 3, a zero gamma included.
+    # Training passes one stacked R-op for every task; row i of its product
+    # equals task i's one-head net's product bit for bit, so the corrections
+    # agree at T = 3, a zero gamma included.
     rng = np.random.default_rng(10)
     net = init_net(6, [8, 5, 4], [4, 3], 3, seed=2)
     x = rng.standard_normal((50, 6))
@@ -303,24 +302,57 @@ def test_stacked_products_match_per_task_products_bitwise(gammas):
     for t in range(3):
         assert np.array_equal(grads[t], backward_task(net, cache, y[:, t], t)[0].values)
     strategy = cfg(gammas=gammas)
-    stacked = cograd_modify_exact_hvp(grads, hvp, strategy)
-    assert np.array_equal(stacked, cograd_modify_exact_hvp(grads, per_task, strategy))
+    stacked = cograd_modify(grads, strategy, hvp)
+    assert np.array_equal(stacked, cograd_modify(grads, strategy, per_task))
     if not any(gammas):
         assert np.array_equal(stacked, grads)
 
 
-def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
-    # Gradient functions and a point, the older call, still work: the products
-    # are central differences of unscaled partner gradients, so the correction
-    # is linear in gamma to the 1e-9 the benchmark checks, and each product is
-    # finite_diff_hvp's bit for bit.
+def per_pair_modify(grads, gammas, hvp):
+    """The correction one product per ordered pair: row i subtracts
+    gamma_j * H_i g_j for each partner j != i, in ascending j."""
+    out = grads.copy()
+    for i in range(len(grads)):
+        for j in range(len(grads)):
+            if j != i:
+                out[i] -= gammas[j] * hvp(np.tile(grads[j], (len(grads), 1)))[i]
+    return out
+
+
+@pytest.mark.parametrize("gamma, bitwise", [(0.5, True), (0.3, False)])
+def test_one_stacked_product_equals_the_per_pair_form_at_two_tasks(gamma, bitwise):
+    # At T = 2, row i's product is H_i (gamma_j g_j) and the per-pair form's is
+    # gamma_j * H_i g_j. The R-op is linear in its direction, so at gamma a
+    # power of two the two are the same floats; otherwise they agree to rounding.
+    rng = np.random.default_rng(16)
+    net = init_net(6, [8, 5], [4], 2, seed=5)
+    x = rng.standard_normal((40, 6))
+    y = (rng.uniform(size=(40, 2)) < 0.4).astype(float)
+    grads, hvp = stacked_products(net, x, y)
+    stacked = cograd_modify(grads, cfg(gammas=(gamma, gamma)), hvp)
+    reference = per_pair_modify(grads, (gamma, gamma), hvp)
+    assert np.linalg.norm(grads - stacked) > 0.0
+    if bitwise:
+        assert np.array_equal(stacked, reference)
+    np.testing.assert_allclose(grads - stacked, grads - reference, rtol=1e-12, atol=1e-17)
+
+
+def unit_net_case():
     rng = np.random.default_rng(9)
     net = init_net(8, [8], [4], 2, seed=4)
     x = rng.standard_normal((32, 8))
     y = (rng.uniform(size=(32, 2)) < 0.5).astype(float)
     _, cache = forward(net, x)
     grads = [backward_task(net, cache, y[:, t], t)[0].values for t in range(2)]
-    grad_fns = [theta_grad_fn(net, x, y[:, t], t) for t in range(2)]
+    return net, grads, [theta_grad_fn(net, x, y[:, t], t) for t in range(2)]
+
+
+def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
+    # Gradient functions and a point, the older call, still work: each product
+    # is a central difference along the unit direction, scaled back by the
+    # direction's norm, so the correction is linear in gamma to the 1e-9 the
+    # benchmark checks, and row 0 is finite_diff_hvp's bit for bit.
+    net, grads, grad_fns = unit_net_case()
 
     def corrected(scale):
         strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=(0.5 * scale, 0.25 * scale))
@@ -330,11 +362,39 @@ def test_grad_fns_adapter_takes_central_differences_linear_in_gamma():
     for g, a, b in zip(grads, one, two):
         assert np.linalg.norm(g - b) > 0.0
         assert np.linalg.norm((g - b) - 2.0 * (g - a)) <= 1e-9 * np.linalg.norm(g - b)
-    expected = grads[0] - 0.25 * finite_diff_hvp(grad_fns[0], net.theta, grads[1])
+    v = 0.25 * grads[1]
+    n = np.linalg.norm(v)
+    expected = grads[0] - n * finite_diff_hvp(grad_fns[0], net.theta, v / n)
     assert np.array_equal(one[0], expected)
     strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=(0.5, 0.25))
     with pytest.raises(DimensionError, match="2 gradients but 1 functions"):
         modify_gradients(grads, strategy, grad_fns=grad_fns[:1], theta=net.theta)
+
+
+def test_grad_fns_adapter_is_positively_homogeneous_bitwise(monkeypatch):
+    # The correction c(gamma) = H(W @ G) the adapter gives at 2 * gamma is twice
+    # that at gamma, bit for bit; a zero direction's product is zero.
+    from cograd import gradmod
+
+    net, grads, grad_fns = unit_net_case()
+    products, real = [], gradmod.cograd_modify
+
+    def recording(grads, cfg, hvp=None):
+        def product(V):
+            products.append(hvp(V))
+            return products[-1]
+
+        return real(grads, cfg, product)
+
+    monkeypatch.setattr(gradmod, "cograd_modify", recording)
+    for gammas in ((0.3, 0.1), (2 * 0.3, 2 * 0.1), (0.3, 0.0)):
+        strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=gammas)
+        out = modify_gradients(grads, strategy, grad_fns=grad_fns, theta=net.theta)
+        assert np.array_equal(out, np.asarray(grads) - products[-1])
+    one, two, zero = products
+    assert np.all(np.linalg.norm(one, axis=1) > 0.0)
+    assert np.array_equal(two, 2.0 * one)
+    assert not zero[0].any() and np.linalg.norm(zero[1]) > 0.0  # row 0's pull is 0 * g_1
 
 
 def test_pcgrad_hand_projection():
@@ -643,7 +703,7 @@ RAGGED = [np.ones(3), np.ones(4)]
     [
         lambda g: modify_gradients(g, StrategyConfig(kind="sum")),
         lambda g: cograd_modify(g, cfg(gammas=(0.1, 0.1))),
-        lambda g: cograd_modify_exact_hvp(g, lambda V: V, cfg()),
+        lambda g: cograd_modify(g, cfg(), lambda V: V),
         lambda g: pcgrad_modify(g, order_seed=0),
         lambda g: magnitude_balance(g, cfg(kind="magnitude_balance", gammas=()), np.zeros(2)),
         pairwise_cosine,

@@ -124,6 +124,16 @@ def test_label_correlation_non_increasing_in_angle():
     assert means[0] >= means[1] >= means[2]
 
 
+def test_opposed_tasks_load_on_e0_with_opposite_signs():
+    # At 180 degrees task 1's weight is -e0 (cos rounds to -1, sin to ~1e-16),
+    # so its labels fall as task 0's rise.
+    cfg = synth_cfg(n_samples=4000, task_angle_deg=180.0, positive_rates=(0.4, 0.4))
+    weights = _task_weights(cfg)
+    np.testing.assert_allclose(weights[1], -np.eye(cfg.n_features)[0], rtol=0, atol=1e-15)
+    labels = generate_synthetic(cfg).labels
+    assert np.corrcoef(labels[:, 0], labels[:, 1])[0, 1] < -0.2
+
+
 def test_label_noise_flips_rows():
     clean = generate_synthetic(synth_cfg())
     noisy = generate_synthetic(synth_cfg(label_noise=0.2))
@@ -133,8 +143,9 @@ def test_label_noise_flips_rows():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        synth_cfg(task_angle_deg=91.0)
+    for angle in (181.0, -1.0):
+        with pytest.raises(ConfigError, match=r"task_angle_deg must lie in \[0, 180\]"):
+            synth_cfg(task_angle_deg=angle)
     with pytest.raises(ConfigError):
         synth_cfg(positive_rates=(0.5, 1.0))
     with pytest.raises(ConfigError):

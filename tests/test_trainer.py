@@ -607,6 +607,51 @@ def test_exact_hvp_training_builds_no_net_and_takes_no_finite_difference(monkeyp
     assert calls == {"nets": 0, "finite_diff_hvp": 0}
 
 
+@pytest.mark.parametrize("num_tasks", [3, 4])
+def test_exact_hvp_step_takes_one_stacked_product_equal_to_the_per_pair_sum(
+    monkeypatch, num_tasks
+):
+    # Each step's correction is one call of the step's stacked R-op, at
+    # W @ G with W = gamma (.) (1 - I), whatever T; row i equals
+    # sum_{j != i} gamma_j H_i g_j taken one ordered pair at a time.
+    from cograd import trainer
+
+    products, calls, real_trunk_hvp = [], [], trainer.trunk_hvp
+    gammas = (0.3, 0.2, 0.1, 0.7)[:num_tasks]
+
+    def counting_trunk_hvp(net, cache, deltas):
+        hvp = real_trunk_hvp(net, cache, deltas)
+        calls.append(0)
+
+        def product(V):
+            calls[-1] += 1
+            products.append(hvp(V))
+            return products[-1]
+
+        product.raw = hvp
+        return product
+
+    def checking_modify(grads, strategy, **kwargs):
+        out = real_modify(grads, strategy, **kwargs)
+        G, raw = grads, kwargs["hvp_fns"].raw
+        pairs = [raw(np.tile(G[j], (num_tasks, 1))) for j in range(num_tasks)]  # row i: H_i g_j
+        for i in range(num_tasks):
+            reference = sum(gammas[j] * pairs[j][i] for j in range(num_tasks) if j != i)
+            assert np.linalg.norm(products[-1][i] - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert np.array_equal(out, G - products[-1])
+        return out
+
+    real_modify = trainer.modify_gradients
+    monkeypatch.setattr(trainer, "trunk_hvp", counting_trunk_hvp)
+    monkeypatch.setattr(trainer, "modify_gradients", checking_modify)
+    rates = (0.5, 0.3, 0.1, 0.2)[:num_tasks]
+    splits = split(small_dataset(rates=rates), (200, 20, 20))
+    strategy = StrategyConfig(kind="cograd_exact_hvp", gammas=gammas)
+    cfg = small_config(steps=6, strategy=strategy, loss_weights=None, eval_every=0)
+    train(init_net(6, [8, 5], [4], num_tasks, 1), splits, cfg)
+    assert calls == [1] * 6
+
+
 def test_exact_hvp_with_a_huge_gamma_raises_divergence_naming_the_step():
     import warnings
 

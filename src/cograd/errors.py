@@ -30,7 +30,7 @@ class DimensionError(InputError):
 
 
 class DataError(InputError):
-    """Invalid dataset content (labels, rates, brackets)."""
+    """Invalid dataset content (shapes, features, labels, rates)."""
 
 
 class CsvParseError(DataError):

@@ -389,11 +389,21 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def build_dataset(data: DataConfig, run_seed: int) -> MultiTaskDataset:
     """Dataset of run seed ``run_seed``; synthetic data is drawn anew at each
-    call, and a CSV's dataset is the one parsed when its config was resolved."""
-    if data.synthetic is not None:
-        cfg = dataclasses.replace(data.synthetic, seed=data.synthetic.seed + run_seed)
+    call, and a CSV's dataset is the one parsed when its config was resolved.
+
+    A synthetic dataset that does not fit in memory raises ConfigError
+    naming ``data.synthetic.n_samples``.
+    """
+    if data.synthetic is None:
+        return data.dataset
+    cfg = dataclasses.replace(data.synthetic, seed=data.synthetic.seed + run_seed)
+    try:
         return generate_synthetic(cfg)
-    return data.dataset
+    except MemoryError:
+        raise ConfigError(
+            f"data.synthetic.n_samples: {cfg.n_samples * cfg.n_features} "
+            "float64 features do not fit in memory"
+        ) from None
 
 
 @dataclass
@@ -407,22 +417,6 @@ class RunResult:
     run_dir: Path
 
 
-def _seed_splits(cfg: ExperimentConfig, seed: int) -> DatasetSplits:
-    """The train/val/test splits of run seed ``seed``'s dataset.
-
-    A synthetic dataset that does not fit in memory raises ConfigError
-    naming ``data.synthetic.n_samples``.
-    """
-    try:
-        ds = build_dataset(cfg.data, seed)  # only a synthetic dataset is allocated here
-    except MemoryError:
-        size = cfg.data.synthetic.n_samples * cfg.data.synthetic.n_features
-        raise ConfigError(
-            f"data.synthetic.n_samples: {size} float64 features do not fit in memory"
-        ) from None
-    return split(ds, cfg.data.split)
-
-
 def _cell(
     cfg: ExperimentConfig, strategy_idx: int, seed: int, splits: DatasetSplits | None = None
 ) -> tuple[DatasetSplits, SharedBottomNet, TrainConfig]:
@@ -434,7 +428,7 @@ def _cell(
     ``init_net`` allocates whole.
     """
     if splits is None:
-        splits = _seed_splits(cfg, seed)
+        splits = split(build_dataset(cfg.data, seed), cfg.data.split)
     n_features = splits.train.n_features
     try:
         net = init_net(
@@ -556,7 +550,7 @@ def run_study(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     if jobs <= 1:
         by_seed = []
         for seed in cfg.seeds:
-            splits = _seed_splits(cfg, seed)
+            splits = split(build_dataset(cfg.data, seed), cfg.data.split)
             by_seed.append([run_one(cfg, si, seed, splits) for si in range(n_strategies)])
             del splits  # freed before the next seed's draw
         results = [runs[si] for si in range(n_strategies) for runs in by_seed]

@@ -3,10 +3,11 @@
 Row order is the time order: splits are contiguous slices, never shuffled.
 The synthetic generator exposes one knob for task relatedness (the angle
 between the tasks' weight vectors) and one for label sparsity (per-task
-positive rates, hit by bisecting for the logit offset). The CSV reader
-converts each 1,024-line block of plain text with one ``np.loadtxt`` call
-and walks rows in Python only for quoted or non-ASCII text and to name a
-fault; both read the same arrays.
+positive rates, each hit by labelling the count of rows nearest it, those
+with the lowest label thresholds). The CSV reader converts each 1,024-line
+block of plain text with one ``np.loadtxt`` call and walks rows in Python
+only for quoted or non-ASCII text and to name a fault; both read the same
+arrays.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, DataError
-from .model import _BLOCK_ROWS, _row_blocks, sigmoid
-
-_BIAS_BRACKET = 60.0  # sigmoid saturates far inside +-60, so this always brackets
+from .model import _BLOCK_ROWS, _row_blocks
 
 
 @dataclass
@@ -132,49 +131,38 @@ def _task_weights(cfg: SyntheticTaskConfig) -> np.ndarray:
 def generate_synthetic(cfg: SyntheticTaskConfig) -> MultiTaskDataset:
     """Draw standard-normal features and correlated Bernoulli task labels.
 
-    Labels follow Bernoulli(sigmoid(3 * w_t . x + b_t)) with b_t solved by
-    bisection so the realized positive rate hits the configured target.
-    All tasks threshold one shared latent uniform per row, so tasks with
-    identical parameters produce identical label columns. Label noise then
-    flips each row with the configured probability (same rows in every task).
+    Labels follow Bernoulli(sigmoid(3 * w_t . x + b_t)), drawn by one shared
+    latent uniform u per row: row i is a positive of task t exactly when b_t
+    is above its threshold logit(u_i) - 3 * w_t . x_i. So no b_t is solved
+    for: task t's positives are the k_t rows with the lowest thresholds,
+    where k_t / n is the rate nearest the configured one (the lower count on
+    a tie), and tasks with identical parameters get identical label columns.
+    Label noise then flips each row with the configured probability (same
+    rows in every task).
     """
     rng = np.random.default_rng(cfg.seed)
     features = rng.standard_normal((cfg.n_samples, cfg.n_features))
     label_latent = rng.uniform(size=cfg.n_samples)
     noise_latent = rng.uniform(size=cfg.n_samples)
 
-    weights = _task_weights(cfg)
-    labels = np.zeros((cfg.n_samples, len(cfg.positive_rates)))
+    n, rates = cfg.n_samples, np.array(cfg.positive_rates)
+    # The nearest count is next to floor(n * rate) however that product
+    # rounds; argmin takes the first, so the lower, of two equal misses.
+    counts = np.clip(np.floor(n * rates)[:, None] + np.arange(-1, 2), 0, n)
+    misses = np.abs(counts / n - rates[:, None])
+    k = counts[np.arange(len(rates)), misses.argmin(axis=1)]
     for t, rate in enumerate(cfg.positive_rates):
-        scores = 3.0 * (features @ weights[t])
-
-        # The empirical rate is a monotone step function of the bias, so
-        # bisecting it directly lands within 1/(2n) of the target.
-        def rate_gap(bias: float) -> float:
-            return float(np.mean(label_latent < sigmoid(scores + bias))) - rate
-
-        lo, hi = -_BIAS_BRACKET, _BIAS_BRACKET
-        gap_lo, gap_hi = rate_gap(lo), rate_gap(hi)
-        if gap_lo >= 0.0 or gap_hi <= 0.0:
-            raise DataError(f"task {t}: cannot bracket bias for positive rate {rate}")
-        # The positive rows only grow with the bias, so stop once one row
-        # separates lo from hi and keep the end nearer the target (lo on a tie).
-        while gap_hi - gap_lo > 1.5 / cfg.n_samples and hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            gap = rate_gap(mid)
-            if gap < 0.0:
-                lo, gap_lo = mid, gap
-            else:
-                hi, gap_hi = mid, gap
-        bias = hi if abs(gap_hi) < abs(gap_lo) else lo
-        column = (label_latent < sigmoid(scores + bias)).astype(np.float64)
-        realized = float(np.mean(column))
+        realized = k[t] / n
         if abs(realized - rate) > 0.02:
             raise DataError(
                 f"task {t}: realized positive rate {realized:.4f} misses target "
                 f"{rate:.4f} by more than 0.02; increase n_samples"
             )
-        labels[:, t] = column
+
+    with np.errstate(divide="ignore"):  # a latent of 0 lies below any sigmoid
+        logit = np.log(label_latent) - np.log1p(-label_latent)
+    thresholds = logit[:, None] - 3.0 * (features @ _task_weights(cfg).T)
+    labels = (thresholds.argsort(axis=0).argsort(axis=0) < k).astype(np.float64)
 
     if cfg.label_noise > 0.0:
         flip = noise_latent < cfg.label_noise

@@ -392,6 +392,8 @@ class ProbeConfig:
         for name in ("grad_tol", "bin_halfwidth", "band"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
+        if 2.0 * self.bin_halfwidth == math.inf:  # the bins span twice it
+            raise ConfigError(f"bin_halfwidth: {self.bin_halfwidth!r} doubled is not finite")
         if self.max_iters < 0:
             raise ConfigError("max_iters must be non-negative")
         if self.n_bins < 1:

@@ -11,6 +11,7 @@ A change that moves an artifact on purpose rewrites the hash file with
 
     PYTHONPATH=src python tests/test_byte_identity.py
 
+which first lists each file whose hash changed, appeared or disappeared,
 and says which files moved and why. The hash file records the numpy version
 and BLAS build it was made with, and a mismatch names both builds, since
 another BLAS can round a product differently.
@@ -70,13 +71,19 @@ def artifacts(out: Path) -> dict[str, str]:
     return {p.relative_to(out).as_posix(): digest(p) for p in files}
 
 
+def moved(stored: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The files whose hash changed, appeared or disappeared, by relative path."""
+    names = sorted(stored.keys() | got.keys())
+    return [name for name in names if stored.get(name) != got.get(name)]
+
+
 def test_every_artifact_keeps_its_bytes(tmp_path):
     stored = json.loads(HASHES.read_text(encoding="utf-8"))
     got = artifacts(tmp_path)
-    names = sorted(stored["files"].keys() | got.keys())
-    moved = [name for name in names if stored["files"].get(name) != got.get(name)]
-    assert not moved, (
-        f"{len(moved)} of {len(names)} artifacts differ from {HASHES.name}: {moved}. "
+    differ = moved(stored["files"], got)
+    assert not differ, (
+        f"{len(differ)} of {len(stored['files'].keys() | got.keys())} artifacts differ "
+        f"from {HASHES.name}: {differ}. "
         f"Stored with numpy {stored['numpy']}, BLAS {stored['blas']}; "
         f"this run has numpy {build()['numpy']}, BLAS {build()['blas']}."
     )
@@ -85,5 +92,9 @@ def test_every_artifact_keeps_its_bytes(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {**build(), "files": artifacts(Path(tmp))}
+    stored = json.loads(HASHES.read_text(encoding="utf-8"))["files"] if HASHES.exists() else {}
+    for name in moved(stored, record["files"]):
+        how = "new" if name not in stored else "gone" if name not in record["files"] else "changed"
+        print(f"{how}: {name}", file=sys.stderr)
     HASHES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record['files'])} hashes to {HASHES}", file=sys.stderr)

@@ -561,22 +561,27 @@ def test_csv_trunk_numpy_cannot_address_exits_2_naming_it(tmp_path, capsys):
     assert "model.shared_widths: 16140901064495857664 float64 values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "validate-approx", "capacity-sweep"])
+_PAST_MEMORY = {
+    "dataset": ("generate_synthetic", "synthetic", "n_samples", 2**31,
+                "data.synthetic.n_samples: 12884901888 float64 features do not fit in memory"),
+    "trunk": ("init_net", "model", "shared_widths", [2**31],
+              "model.shared_widths: a layer of 15032385536 float64 values does not fit in memory"),
+    "heads": ("init_net", "model", "head_widths", [2**31],
+              "model.head_widths: a layer of 19327352832 float64 values does not fit in memory"),
+}
+
+
 @pytest.mark.parametrize(
-    "builder, section, key, value, named",
+    "case, command",
     [
-        ("generate_synthetic", "synthetic", "n_samples", 2**31,
-         "data.synthetic.n_samples: 12884901888 float64 features do not fit in memory"),
-        ("init_net", "model", "shared_widths", [2**31],
-         "model.shared_widths: a layer of 15032385536 float64 values does not fit in memory"),
-        ("init_net", "model", "head_widths", [2**31],
-         "model.head_widths: a layer of 19327352832 float64 values does not fit in memory"),
-    ],
-    ids=["dataset", "trunk", "heads"],
+        pytest.param(case, command, id=f"{case}-{command}")
+        for command in ["train", "validate-approx", "capacity-sweep"]
+        for case in _PAST_MEMORY
+    ]
+    # A probe reads its net from the checkpoint, so only its dataset is sized by the config.
+    + [pytest.param("dataset", "probe", id="dataset-probe")],
 )
-def test_sizes_past_memory_exit_2_naming_them(
-    tmp_path, capsys, monkeypatch, command, builder, section, key, value, named
-):
+def test_sizes_past_memory_exit_2_naming_them(tmp_path, capsys, monkeypatch, case, command):
     # numpy can address these arrays but the machine need not hold them. The
     # builder raises MemoryError in place of numpy's, allocating nothing; the
     # largest trunk layer is 7 x 2**31 values on 6 features, a head's 9 x 2**31
@@ -586,12 +591,28 @@ def test_sizes_past_memory_exit_2_naming_them(
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
+    builder, section, key, value, named = _PAST_MEMORY[case]
+    args = [str(probe_fixtures(tmp_path)[0])] if command == "probe" else []
     monkeypatch.setattr(experiments, builder, out_of_memory)
     config, raw = write_config(tmp_path)
     (raw["data"]["synthetic"] if section == "synthetic" else raw[section])[key] = value
     config.write_text(json.dumps(raw))
-    assert main([command, str(config)]) == 2
+    assert main([command, *args, str(config)]) == 2
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_probe_bin_halfwidth_past_half_the_largest_double_exits_2(tmp_path, capsys):
+    # The bins span twice the half-width: at 1e308 that overflows, while
+    # 8.9e307 (just under half the largest double) still probes.
+    ckpt, _, config = probe_fixtures(tmp_path)
+    raw = json.loads(config.read_text())
+    for halfwidth, code in [(8.9e307, 0), (1e308, 2)]:
+        raw["probe"] = {"bin_halfwidth": halfwidth}
+        config.write_text(json.dumps(raw))
+        assert main(["probe", str(ckpt), str(config), "--output-dir", str(tmp_path / "p")]) == code
+    assert capsys.readouterr().err == (
+        "error: probe.bin_halfwidth: 1e+308 doubled is not finite\n"
+    )
 
 
 def test_probe_bad_csv_exits_2(tmp_path, capsys):

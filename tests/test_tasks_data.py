@@ -103,6 +103,34 @@ def test_rate_halfway_between_two_counts_takes_the_lower():
         assert generate_synthetic(synth_cfg(n_samples=601, seed=seed)).labels[:, 0].sum() == 300
 
 
+@st.composite
+def sizes_and_rates(draw):
+    """A row count and 1-3 rates, some putting n * rate at a half-integer."""
+    n = draw(st.integers(25, 400))
+    halfway = st.integers(0, n - 1).map(lambda j: (j + 0.5) / n)
+    rates = st.one_of(halfway, st.floats(0.001, 0.999))
+    return n, tuple(draw(st.lists(rates, min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=sizes_and_rates(),
+    angle=st.sampled_from([0.0, 45.0, 90.0, 180.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_each_task_takes_the_count_nearest_its_rate(case, angle, seed):
+    n, rates = case
+    cfg = synth_cfg(n_samples=n, task_angle_deg=angle, positive_rates=rates, seed=seed)
+    j = np.arange(n + 1)
+    misses = np.abs(j / n - np.array(rates)[:, None])
+    nearest = [j[m == m.min()][0] for m in misses]  # the lowest of the nearest
+    if misses.min(axis=1).max() > 0.02:  # at n = 25 a halfway rate can miss by 0.02 and a bit
+        with pytest.raises(DataError, match="misses target"):
+            generate_synthetic(cfg)
+    else:
+        assert generate_synthetic(cfg).labels.sum(axis=0).tolist() == nearest
+
+
 def test_zero_angle_identical_processes_identical_columns():
     ds = generate_synthetic(
         synth_cfg(task_angle_deg=0.0, positive_rates=(0.3, 0.3), label_noise=0.0)
